@@ -1,7 +1,6 @@
 //! Compiled-kernel evaluation benchmarks: reference (sparse `BTreeMap`)
-//! polynomial evaluation vs the flat [`CompiledPolynomial`] /
-//! [`CompiledPolySet`] kernels (point and interval, scalar and
-//! lane-batched), plus branch-and-bound end-to-end — the pendulum and
+//! polynomial evaluation vs the flat compiled kernels (point scalar and
+//! lane-batched, interval scalar), plus branch-and-bound end-to-end — the pendulum and
 //! cartpole induction queries, a traversal-invariant dense deep proof, and
 //! a query-cache re-proof loop — and a compiled-shield serving throughput
 //! probe.
@@ -14,9 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use vrl::poly::{
-    basis_size, monomial_basis, BatchBoxes, BatchPoints, Interval, PolyScratch, Polynomial,
-};
+use vrl::poly::{basis_size, monomial_basis, BatchPoints, Interval, PolyScratch, Polynomial};
 use vrl::solver::{
     prove_bound, query_cache_stats, reset_query_cache, BoundQuery, BranchBoundConfig, ProofOutcome,
 };
@@ -73,7 +70,6 @@ struct KernelNumbers {
     point_batch: f64,
     interval_reference: f64,
     interval_compiled: f64,
-    interval_batch: f64,
 }
 
 fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
@@ -82,10 +78,8 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
     let points = sample_points(4096, p.nvars(), 7);
     let batch = BatchPoints::from_states(p.nvars(), &points);
     let boxes = sample_boxes(4096, p.nvars(), 8);
-    let box_batch = BatchBoxes::from_boxes(p.nvars(), &boxes);
     let mut scratch = PolyScratch::new();
     let mut batch_out = Vec::new();
-    let mut interval_out: Vec<Interval> = Vec::new();
 
     let mut group = c.benchmark_group("eval_kernels/dense_deg4_4var");
     group.sample_size(20);
@@ -133,16 +127,6 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
             acc
         })
     });
-    group.bench_function("interval/batch", |b| {
-        b.iter(|| {
-            compiled.evaluate_interval_batch_with(
-                black_box(&box_batch),
-                &mut interval_out,
-                &mut scratch,
-            );
-            interval_out.iter().map(Interval::hi).sum::<f64>()
-        })
-    });
     group.finish();
 
     // Headline numbers for BENCH_eval.json (seconds per 4096 evaluations).
@@ -180,20 +164,11 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
         }
         black_box(acc);
     });
-    let interval_batch = time_per_pass(20, || {
-        compiled.evaluate_interval_batch_with(
-            black_box(&box_batch),
-            &mut interval_out,
-            &mut scratch,
-        );
-        black_box(interval_out.iter().map(Interval::hi).sum::<f64>());
-    });
     println!(
-        "  -> point eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled; interval eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled",
+        "  -> point eval speedup: {:.2}x scalar-compiled, {:.2}x batch-compiled; interval eval speedup: {:.2}x compiled",
         point_reference / point_compiled,
         point_reference / point_batch,
         interval_reference / interval_compiled,
-        interval_reference / interval_batch
     );
     KernelNumbers {
         point_reference,
@@ -201,7 +176,6 @@ fn bench_eval_kernels(c: &mut Criterion) -> KernelNumbers {
         point_batch,
         interval_reference,
         interval_compiled,
-        interval_batch,
     }
 }
 
@@ -305,35 +279,18 @@ fn induction_query(
     (next_value, barrier, domain)
 }
 
-fn bench_branch_bound(
-    c: &mut Criterion,
-    name: &str,
-    gains: &[f64],
-    radii: &[f64],
-) -> (f64, f64, f64) {
+fn bench_branch_bound(c: &mut Criterion, name: &str, gains: &[f64], radii: &[f64]) -> (f64, f64) {
     let (next_value, barrier, domain) = induction_query(name, gains, radii);
-    let scalar_config = BranchBoundConfig {
-        max_boxes: 50_000,
-        lane_batched: false,
-        ..BranchBoundConfig::default()
-    };
-    let batched_config = BranchBoundConfig {
+    let config = BranchBoundConfig {
         max_boxes: 50_000,
         ..BranchBoundConfig::default()
     };
-    // All paths must agree on the outcome before we time them; the scalar
-    // and batched modes must agree exactly.
+    // Both paths must agree on the verdict before we time them.
     let query = BoundQuery::new(&next_value, 0.0).with_guard(&barrier);
-    let scalar_outcome = prove_bound(&query, &domain, &scalar_config);
-    let batched_outcome = prove_bound(&query, &domain, &batched_config);
+    let compiled_outcome = prove_bound(&query, &domain, &config);
+    let reference_outcome = reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &config);
     assert_eq!(
-        scalar_outcome, batched_outcome,
-        "scalar and lane-batched branch-and-bound disagree on {name}"
-    );
-    let reference_outcome =
-        reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &batched_config);
-    assert_eq!(
-        batched_outcome.is_proved(),
+        compiled_outcome.is_proved(),
         reference_outcome.is_proved(),
         "compiled and reference branch-and-bound disagree on {name}"
     );
@@ -341,13 +298,10 @@ fn bench_branch_bound(
     let mut group = c.benchmark_group(format!("eval_kernels/branch_bound/{name}"));
     group.sample_size(10);
     group.bench_function("reference", |b| {
-        b.iter(|| reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &batched_config))
+        b.iter(|| reference_prove_bound(&next_value, 0.0, &[&barrier], &domain, &config))
     });
     group.bench_function("compiled_scalar", |b| {
-        b.iter(|| prove_bound(&query, &domain, &scalar_config))
-    });
-    group.bench_function("compiled_batched", |b| {
-        b.iter(|| prove_bound(&query, &domain, &batched_config))
+        b.iter(|| prove_bound(&query, &domain, &config))
     });
     group.finish();
 
@@ -357,21 +311,17 @@ fn bench_branch_bound(
             0.0,
             &[&barrier],
             &domain,
-            &batched_config,
+            &config,
         ));
     });
     let scalar = time_per_pass(3, || {
-        black_box(prove_bound(&query, &domain, &scalar_config));
-    });
-    let batched = time_per_pass(3, || {
-        black_box(prove_bound(&query, &domain, &batched_config));
+        black_box(prove_bound(&query, &domain, &config));
     });
     println!(
-        "  -> {name} branch-and-bound speedup: {:.2}x scalar-compiled, {:.2}x lane-batched",
-        reference / scalar,
-        reference / batched
+        "  -> {name} branch-and-bound speedup: {:.2}x compiled",
+        reference / scalar
     );
-    (reference, scalar, batched)
+    (reference, scalar)
 }
 
 /// A traversal-invariant deep *proof*: `p ≤ max + margin` for the dense
@@ -380,61 +330,41 @@ fn bench_branch_bound(
 /// frontier order (every box's fate depends only on the box), so — unlike
 /// the refutation-style induction rows above, where the wave order changes
 /// which counterexample surfaces first — this row isolates the evaluation
-/// kernels: reference vs scalar-compiled vs lane-batched over the *same*
-/// boxes.
-fn bench_dense_proof(c: &mut Criterion) -> (f64, f64, f64) {
+/// kernels: reference vs compiled over the *same* boxes.
+fn bench_dense_proof(c: &mut Criterion) -> (f64, f64) {
     let p = dense_poly();
     let domain = vec![Interval::new(-1.0, 1.0); p.nvars()];
     let negated = -&p;
     let true_max = -vrl::solver::sound_minimum(&negated, &domain, 200_000);
     let bound = true_max + 1e-3 * (1.0 + true_max.abs());
     let query = BoundQuery::new(&p, bound);
-    let scalar_config = BranchBoundConfig {
-        lane_batched: false,
-        ..BranchBoundConfig::default()
-    };
-    let batched_config = BranchBoundConfig::default();
-    let scalar_outcome = prove_bound(&query, &domain, &scalar_config);
-    let batched_outcome = prove_bound(&query, &domain, &batched_config);
-    assert_eq!(scalar_outcome, batched_outcome);
-    assert!(scalar_outcome.is_proved(), "the bound must be provable");
-    let reference_outcome = reference_prove_bound(&p, bound, &[], &domain, &batched_config);
+    let config = BranchBoundConfig::default();
+    let compiled_outcome = prove_bound(&query, &domain, &config);
+    assert!(compiled_outcome.is_proved(), "the bound must be provable");
+    let reference_outcome = reference_prove_bound(&p, bound, &[], &domain, &config);
     assert!(reference_outcome.is_proved());
 
     let mut group = c.benchmark_group("eval_kernels/branch_bound/dense_proof");
     group.sample_size(10);
     group.bench_function("reference", |b| {
-        b.iter(|| reference_prove_bound(&p, bound, &[], &domain, &batched_config))
+        b.iter(|| reference_prove_bound(&p, bound, &[], &domain, &config))
     });
     group.bench_function("compiled_scalar", |b| {
-        b.iter(|| prove_bound(&query, &domain, &scalar_config))
-    });
-    group.bench_function("compiled_batched", |b| {
-        b.iter(|| prove_bound(&query, &domain, &batched_config))
+        b.iter(|| prove_bound(&query, &domain, &config))
     });
     group.finish();
 
     let reference = time_per_pass(5, || {
-        black_box(reference_prove_bound(
-            &p,
-            bound,
-            &[],
-            &domain,
-            &batched_config,
-        ));
+        black_box(reference_prove_bound(&p, bound, &[], &domain, &config));
     });
     let scalar = time_per_pass(5, || {
-        black_box(prove_bound(&query, &domain, &scalar_config));
-    });
-    let batched = time_per_pass(5, || {
-        black_box(prove_bound(&query, &domain, &batched_config));
+        black_box(prove_bound(&query, &domain, &config));
     });
     println!(
-        "  -> dense-proof branch-and-bound speedup: {:.2}x scalar-compiled, {:.2}x lane-batched",
-        reference / scalar,
-        reference / batched
+        "  -> dense-proof branch-and-bound speedup: {:.2}x compiled",
+        reference / scalar
     );
-    (reference, scalar, batched)
+    (reference, scalar)
 }
 
 /// Cache behavior of a CEGIS-style re-proof loop: the same induction query
@@ -504,14 +434,14 @@ fn measure_serving_throughput() -> (f64, f64) {
 
 fn write_results(
     kernels: &KernelNumbers,
-    pendulum: (f64, f64, f64),
-    cartpole: (f64, f64, f64),
-    dense: (f64, f64, f64),
+    pendulum: (f64, f64),
+    cartpole: (f64, f64),
+    dense: (f64, f64),
     cache: (u64, u64, f64),
     serving: (f64, f64),
 ) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let eval_section = |reference: f64, compiled: f64, batch: f64| {
+    let point_section = |reference: f64, compiled: f64, batch: f64| {
         format!(
             "{{\n    \"reference_sec\": {:.6e},\n    \"compiled_sec\": {:.6e},\n    \"batch_sec\": {:.6e},\n    \"speedup_compiled\": {:.2},\n    \"speedup_batch\": {:.2},\n    \"batch_vs_scalar_compiled\": {:.2}\n  }}",
             reference,
@@ -522,25 +452,30 @@ fn write_results(
             compiled / batch,
         )
     };
-    let bb_section = |(reference, scalar, batched): (f64, f64, f64)| {
+    let interval_section = |reference: f64, compiled: f64| {
         format!(
-            "{{\n    \"reference_sec\": {:.6e},\n    \"scalar_sec\": {:.6e},\n    \"batched_sec\": {:.6e},\n    \"speedup_scalar\": {:.2},\n    \"speedup_batched\": {:.2},\n    \"batched_vs_scalar\": {:.2}\n  }}",
+            "{{\n    \"reference_sec\": {:.6e},\n    \"compiled_sec\": {:.6e},\n    \"speedup_compiled\": {:.2}\n  }}",
             reference,
-            scalar,
-            batched,
-            reference / scalar,
-            reference / batched,
-            scalar / batched,
+            compiled,
+            reference / compiled,
         )
     };
-    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) vs lane-batched (8-wide SoA sweeps) paths. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); branch_bound pendulum/cartpole rows are seconds per CEGIS-style induction query (these refute, so reference-vs-wave deltas mix kernel speed with which counterexample the traversal surfaces first; scalar_sec pops the same 8-box waves through the scalar interval kernel, batched_sec through the lane-batched kernel — identical outcomes); branch_bound_dense_proof is a traversal-invariant deep proof (identical box tree in every arm), isolating the kernels; query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions); serve_http rows come from the serve_http bench (loopback HTTP front-end, keep-alive, batched JSON decide bodies).\"".to_string();
+    let bb_section = |(reference, scalar): (f64, f64)| {
+        format!(
+            "{{\n    \"reference_sec\": {:.6e},\n    \"scalar_sec\": {:.6e},\n    \"speedup_scalar\": {:.2}\n  }}",
+            reference,
+            scalar,
+            reference / scalar,
+        )
+    };
+    let description = "\"Compiled evaluation kernels: reference (sparse BTreeMap) vs compiled (flat SoA) paths, plus the lane-batched (8-wide SoA sweeps) point kernel. Point/interval rows are seconds per 4096 evaluations of a dense degree-4, 4-variable polynomial (70 terms); branch_bound pendulum/cartpole rows are seconds per CEGIS-style induction query (these refute, so reference-vs-wave deltas mix kernel speed with which counterexample the traversal surfaces first; scalar_sec pops 8-box waves through the compiled scalar interval kernel); branch_bound_dense_proof is a traversal-invariant deep proof (identical box tree in every arm), isolating the kernels; query_cache is a 50x re-proof loop of the pendulum induction query through the per-thread CompiledQueryCache; serving rows are single-worker decisions/sec on the pendulum deployment with a [240, 200] oracle — scalar loops per-state decide, batch is decide_batch through the lane-batched dynamics-step + oracle + certificate kernels (bit-identical decisions); serve_http rows come from the serve_http bench (loopback HTTP front-end, keep-alive, batched JSON decide bodies).\"".to_string();
     vrl_bench::upsert_bench_sections(
         path,
         &[
             ("description", description),
             (
                 "point_eval",
-                eval_section(
+                point_section(
                     kernels.point_reference,
                     kernels.point_compiled,
                     kernels.point_batch,
@@ -548,11 +483,7 @@ fn write_results(
             ),
             (
                 "interval_eval",
-                eval_section(
-                    kernels.interval_reference,
-                    kernels.interval_compiled,
-                    kernels.interval_batch,
-                ),
+                interval_section(kernels.interval_reference, kernels.interval_compiled),
             ),
             ("branch_bound_pendulum", bb_section(pendulum)),
             ("branch_bound_cartpole", bb_section(cartpole)),

@@ -16,16 +16,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use vrl::dynamics::EnvironmentContext;
 
-/// FNV-1a over `bytes`: the farm's canonical deterministic hash, used for
-/// per-scenario seeds and artifact checksums.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a over bytes: the farm's canonical deterministic hash, used for
+/// per-scenario seeds and artifact checksums.  This is the artifact
+/// codec's own hash, re-exported so the two can never drift apart.
+pub use vrl_runtime::fnv1a64;
 
 /// A generated synthesis scenario: an environment plus everything a CEGIS
 /// job needs to run on it deterministically.

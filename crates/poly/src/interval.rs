@@ -142,13 +142,11 @@ impl Interval {
     /// `prop_powi_tighter_than_repeated_mul` test pins this tightness
     /// relation against the naive baseline.
     ///
-    /// The compiled evaluation kernels reproduce this rule bit-for-bit in
-    /// their interval power tables — including the sign-split case where
-    /// even powers of a zero-straddling interval bottom out at exactly
-    /// zero — for both the scalar and the lane-batched fills; the
-    /// `prop_interval_batch_even_power_containment` proptest in the
-    /// `compiled` module extends the containment guarantees here to every
-    /// lane of a batched sweep.
+    /// The compiled interval kernel reproduces this rule bit-for-bit in its
+    /// interval power table — including the sign-split case where even
+    /// powers of a zero-straddling interval bottom out at exactly zero; the
+    /// `prop_interval_even_power_containment` proptest in the `compiled`
+    /// module extends the containment guarantees here to that table fill.
     pub fn powi(&self, n: u32) -> Interval {
         match n {
             0 => Interval::point(1.0),

@@ -240,7 +240,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// 64-bit FNV-1a hash, used as the artifact integrity checksum.
+/// 64-bit FNV-1a hash, used as the artifact integrity checksum (and, by
+/// the scenario farm, for per-scenario seeds and artifact checksums).
 ///
 /// FNV is not cryptographic; the checksum guards against truncation and
 /// accidental corruption, not against an adversary, which is the right

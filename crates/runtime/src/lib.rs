@@ -95,7 +95,7 @@ pub use arena::StateArena;
 pub use artifact::{
     ArtifactError, ArtifactMetadata, ShieldArtifact, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION,
 };
-pub use codec::DecodeError;
+pub use codec::{fnv1a64, DecodeError};
 pub use fleet::{FleetConfig, FleetRouter};
 pub use http::{HttpConfig, HttpFrontend, MiniClient, MiniResponse, ShieldBackend};
 pub use obs::install_metrics;

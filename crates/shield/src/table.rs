@@ -8,8 +8,8 @@
 //!
 //! 1. Grid the safe box into axis-aligned cells ([`TableConfig::resolution`]
 //!    per dimension, ragged resolutions allowed).
-//! 2. Run the existing lane-batched interval kernels over every cell for the
-//!    whole certificate family at once.
+//! 2. Enclose the whole certificate family over every cell with the scalar
+//!    compiled interval kernel, one family evaluation per cell.
 //! 3. Classify each cell: **covered** (every point of the cell is provably
 //!    inside some invariant and outside every obstacle — proposals landing
 //!    here are kept), **uncovered** (every point provably escapes all
@@ -41,7 +41,7 @@
 //! definition, answered in O(1) without any certificate work.
 
 use vrl_dynamics::{BoxRegion, EnvironmentContext};
-use vrl_poly::{BatchBoxes, Interval, LANE_WIDTH};
+use vrl_poly::{Interval, PolyScratch};
 use vrl_solver::with_query_cache;
 
 use crate::ShieldPiece;
@@ -235,8 +235,8 @@ pub struct DecisionTable {
 
 impl DecisionTable {
     /// Grids the environment's safe box and certifies every cell against
-    /// the pieces' invariants with one lane-batched interval sweep per
-    /// [`LANE_WIDTH`] cells.
+    /// the pieces' invariants with one compiled interval evaluation of the
+    /// whole certificate family per cell.
     ///
     /// The whole build runs under a `shield.table_build` tracing span and
     /// reports its cell census to the `vrl_shield_decide_table_cells`
@@ -314,48 +314,20 @@ impl DecisionTable {
         let certified = cells.min(config.build_budget);
         stats.boundary += cells - certified;
 
-        let mut boxes = BatchBoxes::with_capacity(dim, LANE_WIDTH);
-        let mut enclosures: Vec<Interval> = Vec::new();
+        let mut scratch = PolyScratch::new();
+        let mut enclosures = vec![Interval::zero(); pieces.len()];
         let mut cell = vec![Interval::zero(); dim];
-        let mut indices = vec![0usize; dim];
-        let mut base = 0usize;
-        while base < certified {
-            let lanes = LANE_WIDTH.min(certified - base);
-            boxes.clear();
-            for lane in 0..lanes {
-                cell_box(
-                    &boundaries,
-                    &strides,
-                    &resolution,
-                    base + lane,
-                    &mut indices,
-                );
-                for d in 0..dim {
-                    cell[d] =
-                        Interval::new(boundaries[d][indices[d]], boundaries[d][indices[d] + 1]);
-                }
-                boxes.push(&cell);
+        for idx in 0..certified {
+            cell_box(&boundaries, &strides, &resolution, idx, &mut cell);
+            family.eval_interval_into_with(&cell, &mut enclosures, &mut scratch);
+            let (cls, intervention) = classify_cell(&cell, &enclosures, safety.obstacles());
+            class[idx] = cls as u8;
+            piece[idx] = intervention.map_or(NO_PIECE, |j| j as u16);
+            match cls {
+                CellClass::Covered => stats.covered += 1,
+                CellClass::Uncovered => stats.uncovered += 1,
+                CellClass::Boundary => stats.boundary += 1,
             }
-            family.evaluate_interval_batch(&boxes, &mut enclosures);
-            for lane in 0..lanes {
-                let idx = base + lane;
-                cell_box(&boundaries, &strides, &resolution, idx, &mut indices);
-                for d in 0..dim {
-                    cell[d] =
-                        Interval::new(boundaries[d][indices[d]], boundaries[d][indices[d] + 1]);
-                }
-                let enclosure_of = |j: usize| enclosures[j * lanes + lane];
-                let (cls, intervention) =
-                    classify_cell(&cell, pieces.len(), enclosure_of, safety.obstacles());
-                class[idx] = cls as u8;
-                piece[idx] = intervention.map_or(NO_PIECE, |j| j as u16);
-                match cls {
-                    CellClass::Covered => stats.covered += 1,
-                    CellClass::Uncovered => stats.uncovered += 1,
-                    CellClass::Boundary => stats.boundary += 1,
-                }
-            }
-            base += lanes;
         }
         stats.memory_bytes = class.len() * std::mem::size_of::<u8>()
             + piece.len() * std::mem::size_of::<u16>()
@@ -488,21 +460,22 @@ fn cell_boundaries(lo: f64, hi: f64, resolution: usize) -> Vec<f64> {
     boundaries
 }
 
-/// Decodes row-major cell `idx` into per-dimension indices.
+/// Writes the box of row-major cell `idx` into `cell`.
 fn cell_box(
     boundaries: &[Vec<f64>],
     strides: &[usize],
     resolution: &[usize],
     idx: usize,
-    indices: &mut [usize],
+    cell: &mut [Interval],
 ) {
-    debug_assert_eq!(boundaries.len(), indices.len());
-    for d in 0..strides.len() {
-        indices[d] = (idx / strides[d]) % resolution[d];
+    debug_assert_eq!(boundaries.len(), cell.len());
+    for (d, slot) in cell.iter_mut().enumerate() {
+        let i = (idx / strides[d]) % resolution[d];
+        *slot = Interval::new(boundaries[d][i], boundaries[d][i + 1]);
     }
 }
 
-/// Classifies one cell from the family enclosures `enclosure_of(piece)`
+/// Classifies one cell from the family enclosures (`enclosures[piece]`)
 /// evaluated over `cell`, plus the obstacle set.
 ///
 /// Returns the class and the constant intervention piece (`Some(j)` iff
@@ -511,16 +484,14 @@ fn cell_box(
 /// scan returns `j` for every point of the cell).
 fn classify_cell(
     cell: &[Interval],
-    num_pieces: usize,
-    enclosure_of: impl Fn(usize) -> Interval,
+    enclosures: &[Interval],
     obstacles: &[BoxRegion],
 ) -> (CellClass, Option<usize>) {
     let mut any_contained = false;
     let mut all_excluded = true;
     let mut intervention = None;
     let mut prefix_excluded = true;
-    for j in 0..num_pieces {
-        let enclosure = enclosure_of(j);
+    for (j, enclosure) in enclosures.iter().enumerate() {
         let margin = CERT_MARGIN * (1.0 + enclosure.abs_max());
         // NaN endpoints fail both comparisons: the cell stays boundary.
         let contained = enclosure.hi() <= -margin;

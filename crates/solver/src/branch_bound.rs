@@ -14,22 +14,16 @@
 //!
 //! # Evaluation strategy
 //!
-//! The objective and guards of a query are compiled together into one
-//! [`CompiledPolySet`] — pulled from the two-level
+//! The objective and the guards of a query are each compiled into a
+//! [`CompiledPolySet`] pulled from the two-level
 //! [`crate::CompiledQueryCache`], so CEGIS loops that re-prove the same
-//! certificate family never recompile — and the search expands its frontier
-//! [`vrl_poly::LANE_WIDTH`] boxes per sweep through the lane-batched
-//! interval kernels.  Both choices are outcome-neutral: the cached compiled
-//! family is exactly what a fresh compilation would produce, and each lane
-//! of a batched sweep is bit-identical to the scalar interval kernel, so
-//! the search examines the same boxes in the same order and returns the
-//! same verdicts and witnesses as the scalar path
-//! (`BranchBoundConfig::lane_batched = false`, which remains available as
-//! the differential-testing reference).
+//! certificate family never recompile.  Every box is enclosed by the one
+//! scalar interval kernel, [`CompiledPolySet::eval_interval_into_with`],
+//! which is bit-for-bit the reference [`Polynomial::eval_interval`]; a
+//! cached family is exactly what a fresh compilation would produce, so
+//! caching is outcome-neutral too.
 
-use vrl_poly::{
-    BatchBoxes, BatchPoints, CompiledPolySet, Interval, PolyScratch, Polynomial, LANE_WIDTH,
-};
+use vrl_poly::{CompiledPolySet, Interval, PolyScratch, Polynomial};
 
 use crate::cache::with_query_cache;
 
@@ -46,27 +40,23 @@ pub struct BranchBoundConfig {
     /// Numerical slack: the inequality `p ≤ bound` is certified when the
     /// interval upper bound is `≤ bound + tolerance`.
     pub tolerance: f64,
-    /// Expand the frontier [`vrl_poly::LANE_WIDTH`] boxes per sweep through
-    /// the lane-batched interval kernels (the default).  `false` evaluates
-    /// one box at a time through the scalar kernels; both modes examine the
-    /// same boxes in the same order and return bit-identical outcomes — the
-    /// scalar mode exists as the reference arm of the differential
-    /// conformance tests.
-    pub lane_batched: bool,
-    /// Counterexample-first probing window: while fewer than this many
-    /// boxes have been examined, the frontier advances **one box at a
-    /// time** — exactly the classic depth-first probe order, in which each
-    /// undecided box's midpoint and corners are point-evaluated through the
-    /// compiled kernels before it is split, so refuting queries surface
-    /// their witness as fast as the seed DFS with no speculative wave work
-    /// wasted past it.  Past the threshold the search is almost certainly
-    /// proving, not refuting, and the frontier widens to full
-    /// [`LANE_WIDTH`] waves for lane-batched throughput.  The threshold is
-    /// compared against the deterministic box counter, so the scalar and
-    /// batched modes pop identical boxes in identical order.  `0` skips the
-    /// window and opens at full wave width immediately.
-    pub probe_boxes: usize,
 }
+
+/// Counterexample-first probing window: while fewer than this many boxes
+/// have been examined, [`prove_bound`] advances its frontier **one box at a
+/// time** — exactly the classic depth-first probe order, in which each
+/// undecided box's midpoint and corners are point-evaluated before it is
+/// split, so refuting queries surface their witness as fast as a plain DFS.
+/// Past the window the search is almost certainly proving, not refuting,
+/// and pops `WAVE_WIDTH` boxes per wave.
+const PROBE_BOXES: usize = 1024;
+
+/// Boxes popped per frontier wave once the `PROBE_BOXES` window is past,
+/// and the cap of [`sound_minimum`]'s wave ramp.  A wave's boxes are
+/// processed in pop order and the children they push wait for the next
+/// wave, so the width shapes the traversal order (and with it box counts
+/// and witnesses) but never soundness.
+const WAVE_WIDTH: usize = 8;
 
 impl Default for BranchBoundConfig {
     fn default() -> Self {
@@ -74,8 +64,6 @@ impl Default for BranchBoundConfig {
             max_boxes: 200_000,
             min_width: 1e-4,
             tolerance: 1e-9,
-            lane_batched: true,
-            probe_boxes: 1024,
         }
     }
 }
@@ -169,21 +157,14 @@ impl<'a> BoundQuery<'a> {
 /// Attempts to prove a [`BoundQuery`] over an axis-aligned box given as
 /// per-dimension intervals.
 ///
-/// The compiled `objective + guards` family is pulled from the two-level
-/// [`crate::CompiledQueryCache`], and the frontier is expanded in waves of
-/// up to [`LANE_WIDTH`] boxes: each wave pops the top of the work stack,
-/// evaluates the whole family over every popped box in one lane-batched
-/// sweep (one interval power-table fill per variable for the wave), and
-/// then processes the boxes in pop order — prune, certify, probe for a
+/// The compiled objective and guard families are pulled from the two-level
+/// [`crate::CompiledQueryCache`], and the frontier is expanded in waves:
+/// each wave pops up to `WAVE_WIDTH` boxes off the top of the work stack
+/// and processes them in pop order — prune, certify, probe for a
 /// counterexample, or split, with children pushed for a later wave.  The
-/// opening [`BranchBoundConfig::probe_boxes`] boxes run one per wave — the
-/// classic counterexample-first DFS order, so refutations pay for no
-/// speculative siblings — before the frontier widens to full lanes.  The
-/// scalar mode ([`BranchBoundConfig::lane_batched`]` = false`) pops the
-/// **same** waves in the same order and evaluates each box through the
-/// scalar kernels, whose values the lane kernels reproduce bit-for-bit —
-/// so the two modes examine the same boxes in the same order and return
-/// identical outcomes, witnesses included.
+/// opening `PROBE_BOXES` boxes run one per wave — the classic
+/// counterexample-first DFS order, so refutations pay for no speculative
+/// siblings — before the frontier widens.
 ///
 /// # Panics
 ///
@@ -235,104 +216,35 @@ pub fn prove_bound(
         .then(|| with_query_cache(|cache| cache.get_or_compile(&active_guard_polys)));
     let num_guards = active_guard_polys.len();
     // Reusable buffers: the candidate point and guard values of the
-    // counterexample probes, the wave of popped boxes with their
-    // evaluations, and the box batches of the lane sweeps.
+    // counterexample probes, the guard enclosures, and the popped wave.
     let mut point = vec![0.0; domain.len()];
     let mut guard_point_values = vec![0.0; num_guards];
     let mut guard_values = vec![Interval::zero(); num_guards];
-    let mut batch = BatchBoxes::with_capacity(domain.len(), LANE_WIDTH);
-    let mut live_batch = BatchBoxes::with_capacity(domain.len(), LANE_WIDTH);
-    let mut batch_out: Vec<Interval> = Vec::new();
-    let mut wave: Vec<Vec<Interval>> = Vec::with_capacity(LANE_WIDTH);
-    let mut wave_evals: Vec<(Interval, bool)> = Vec::with_capacity(LANE_WIDTH);
-    let mut live_lanes: Vec<usize> = Vec::with_capacity(LANE_WIDTH);
+    let mut wave: Vec<Vec<Interval>> = Vec::with_capacity(WAVE_WIDTH);
     let mut stack: Vec<Vec<Interval>> = vec![domain.to_vec()];
     let mut boxes_examined = 0usize;
     let mut worst_box: Option<(Vec<f64>, Vec<f64>, f64)> = None;
     let mut undecided_smallest = false;
     while !stack.is_empty() {
-        // Pop the next wave off the frontier and evaluate it: guards over
-        // the whole wave first, then the objective over the lanes no guard
-        // pruned — lane-batched in family sweeps, or box-by-box through the
-        // scalar kernels; the values (and hence everything below) are
-        // bit-identical either way.
-        //
-        // Counterexample-first window: evaluating a wave is speculative — a
-        // counterexample in its first box makes the rest wasted work, and
-        // sibling sub-trees that a depth-first probe would never reach get
-        // expanded.  So while the deterministic box counter is below
-        // [`BranchBoundConfig::probe_boxes`] the wave is a single box,
-        // which makes the traversal exactly the classic DFS probe order:
-        // refuting queries surface their witness (midpoint/corner probes in
-        // `find_counterexample`) having examined precisely the boxes the
-        // seed DFS would have.  Past the window the search is almost
+        // Counterexample-first window: while the deterministic box counter
+        // is below `PROBE_BOXES` the wave is a single box, which makes the
+        // traversal exactly the classic DFS probe order — refuting queries
+        // surface their witness (midpoint/corner probes in
+        // `find_counterexample`) having examined precisely the boxes a
+        // plain DFS would have.  Past the window the search is almost
         // certainly proving — proofs must examine every box regardless of
-        // order — and the frontier widens to full lanes.  The width is a
-        // function of the box counter alone, so the scalar and batched
-        // modes pop identical waves.
-        wave.clear();
+        // order — and the frontier widens to `WAVE_WIDTH` boxes per wave.
         tally.wave();
-        let wave_width = if boxes_examined < config.probe_boxes {
+        let wave_width = if boxes_examined < PROBE_BOXES {
             1
         } else {
-            LANE_WIDTH
+            WAVE_WIDTH
         };
         for _ in 0..wave_width.min(stack.len()) {
             wave.push(stack.pop().expect("bounded by stack length"));
         }
-        wave_evals.clear();
-        // Width-1 waves take the scalar kernels even in batched mode: the
-        // lane kernels reproduce them bit-for-bit, and a one-lane batch
-        // sweep costs more than a scalar evaluation, so inside the DFS
-        // window both modes run the identical (cheapest) code path.
-        if config.lane_batched && wave.len() > 1 {
-            let lanes = wave.len();
-            // Pruned lanes keep a placeholder enclosure that is never read.
-            wave_evals.resize(lanes, (Interval::zero(), true));
-            live_lanes.clear();
-            if let Some(guards) = &guards {
-                batch.clear();
-                for current in &wave {
-                    batch.push(current);
-                }
-                guards.evaluate_interval_batch_with(&batch, &mut batch_out, &mut scratch);
-                for lane in 0..lanes {
-                    let prunes = (0..num_guards).any(|gi| batch_out[gi * lanes + lane].lo() > 0.0);
-                    if !prunes {
-                        live_lanes.push(lane);
-                    }
-                }
-            } else {
-                live_lanes.extend(0..lanes);
-            }
-            live_batch.clear();
-            for &lane in &live_lanes {
-                live_batch.push(&wave[lane]);
-            }
-            objective
-                .0
-                .evaluate_interval_batch_with(&live_batch, &mut batch_out, &mut scratch);
-            for (slot, &lane) in batch_out.iter().zip(live_lanes.iter()) {
-                wave_evals[lane] = (*slot, false);
-            }
-        } else {
-            for current in &wave {
-                let prunes = match &guards {
-                    Some(guards) => {
-                        guards.eval_interval_into_with(current, &mut guard_values, &mut scratch);
-                        guard_values.iter().any(|enclosure| enclosure.lo() > 0.0)
-                    }
-                    None => false,
-                };
-                if prunes {
-                    wave_evals.push((Interval::zero(), true));
-                } else {
-                    wave_evals.push((objective.eval_interval_with(current, &mut scratch), false));
-                }
-            }
-        }
         // Process the wave in pop order.
-        for (current, &(enclosure, guard_prunes)) in wave.drain(..).zip(wave_evals.iter()) {
+        for current in wave.drain(..) {
             boxes_examined += 1;
             tally.box_examined();
             if boxes_examined > config.max_boxes {
@@ -342,11 +254,17 @@ pub fn prove_bound(
                 };
             }
             // Guard pruning: if any active guard is certainly positive on
-            // this box, no point of the box is relevant to the query.
-            if guard_prunes {
-                tally.guard_prune();
-                continue;
+            // this box, no point of the box is relevant to the query.  The
+            // guards are checked first so a pruned box never pays for the
+            // (typically much denser) objective.
+            if let Some(guards) = &guards {
+                guards.eval_interval_into_with(&current, &mut guard_values, &mut scratch);
+                if guard_values.iter().any(|enclosure| enclosure.lo() > 0.0) {
+                    tally.guard_prune();
+                    continue;
+                }
             }
+            let enclosure = objective.eval_interval_with(&current, &mut scratch);
             if enclosure.hi() <= query.bound + config.tolerance {
                 continue; // certified on this box
             }
@@ -379,22 +297,7 @@ pub fn prove_bound(
                 undecided_smallest = true;
                 continue;
             }
-            // Split along the widest dimension.
-            let split_dim = current
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.width()
-                        .partial_cmp(&b.1.width())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let (left, right) = current[split_dim].bisect();
-            let mut left_box = current.clone();
-            left_box[split_dim] = left;
-            let mut right_box = current;
-            right_box[split_dim] = right;
+            let (left_box, right_box) = bisect_widest(current);
             stack.push(left_box);
             stack.push(right_box);
         }
@@ -461,39 +364,17 @@ impl SingleMember<'_> {
 /// refinement: the returned value is `≤ min_{x ∈ domain} p(x)`, and
 /// converges towards it as `max_boxes` grows.
 ///
-/// Runs the lane-batched refinement of [`sound_minimum_with`].
+/// The best-first queue is refined in *waves*: each sweep pops up to
+/// `WAVE_WIDTH` boxes in best-first order (ramping up from one box so
+/// short refinements keep the classic pop order), checks them for
+/// termination in pop order, then splits every popped box along its widest
+/// dimension and bounds each child — interval lower bound and midpoint
+/// upper bound — in (pop, left, right) order.
 ///
 /// # Panics
 ///
 /// Panics if `domain.len()` differs from the polynomial's variable count.
 pub fn sound_minimum(p: &Polynomial, domain: &[Interval], max_boxes: usize) -> f64 {
-    sound_minimum_with(p, domain, max_boxes, true)
-}
-
-/// [`sound_minimum`] with an explicit kernel mode.
-///
-/// The best-first queue is refined in *waves*, mirroring [`prove_bound`]'s
-/// frontier: each sweep pops up to [`LANE_WIDTH`] boxes in best-first order
-/// (ramping up from one box so short refinements keep the classic pop
-/// order), splits every popped box along its widest dimension, and
-/// evaluates all children — interval lower bounds and midpoint upper
-/// bounds — in two family sweeps instead of one kernel call per child.
-/// The same order-stability argument as `prove_bound` applies: the wave
-/// schedule depends only on the sweep count and the deterministic
-/// best-first pop order, and each lane of a batched sweep is bit-identical
-/// to the scalar kernel, so `lane_batched = false` (the differential
-/// reference arm, one scalar kernel call per child in the identical order)
-/// returns a bit-identical bound.
-///
-/// # Panics
-///
-/// Panics if `domain.len()` differs from the polynomial's variable count.
-pub fn sound_minimum_with(
-    p: &Polynomial,
-    domain: &[Interval],
-    max_boxes: usize,
-    lane_batched: bool,
-) -> f64 {
     assert_eq!(
         domain.len(),
         p.nvars(),
@@ -519,21 +400,16 @@ pub fn sound_minimum_with(
     )];
     let mut upper = compiled.eval_with(&midpoint, &mut scratch);
     let mut examined = 0usize;
-    let mut wave: Vec<(f64, Vec<Interval>)> = Vec::with_capacity(LANE_WIDTH);
-    let mut children: Vec<Vec<Interval>> = Vec::with_capacity(2 * LANE_WIDTH);
-    let mut child_boxes = BatchBoxes::with_capacity(domain.len(), 2 * LANE_WIDTH);
-    let mut child_points = BatchPoints::with_capacity(domain.len(), 2 * LANE_WIDTH);
-    let mut lows_out: Vec<Interval> = Vec::new();
-    let mut mids_out: Vec<f64> = Vec::new();
-    // Wave ramp-up, exactly as in `prove_bound`: one box on the first
-    // sweep, doubling to LANE_WIDTH, so cheap refinements never speculate.
+    let mut wave: Vec<(f64, Vec<Interval>)> = Vec::with_capacity(WAVE_WIDTH);
+    // Wave ramp-up: one box on the first sweep, doubling to WAVE_WIDTH, so
+    // cheap refinements never speculate.
     let mut wave_width = 1usize;
     while examined < max_boxes && !queue.is_empty() {
         // Pop this wave best-first — repeated min-scans with the same
         // first-minimal tie-break the one-box loop used.
         wave.clear();
         let take = wave_width.min(queue.len()).min(max_boxes - examined);
-        wave_width = (wave_width * 2).min(LANE_WIDTH);
+        wave_width = (wave_width * 2).min(WAVE_WIDTH);
         for _ in 0..take {
             let index = queue
                 .iter()
@@ -565,54 +441,11 @@ pub fn sound_minimum_with(
         for (lower, unprocessed) in wave.drain(split_count..) {
             queue.push((lower, unprocessed));
         }
-        // Split every remaining pop along its widest dimension; the wave's
-        // children are then evaluated together — one interval sweep for the
-        // lower bounds, one point sweep for the midpoint upper bounds — and
-        // pushed in (pop, left, right) order, matching the reference arm.
-        children.clear();
+        // Split every remaining pop along its widest dimension and bound
+        // both children, pushing them in (pop, left, right) order.
         for (_, current) in wave.drain(..) {
-            let split_dim = current
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.width()
-                        .partial_cmp(&b.1.width())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let (left, right) = current[split_dim].bisect();
-            let mut left_box = current.clone();
-            left_box[split_dim] = left;
-            let mut right_box = current;
-            right_box[split_dim] = right;
-            children.push(left_box);
-            children.push(right_box);
-        }
-        if lane_batched {
-            child_boxes.clear();
-            child_points.clear();
-            for child in &children {
-                child_boxes.push(child);
-                for (m, iv) in midpoint.iter_mut().zip(child.iter()) {
-                    *m = iv.midpoint();
-                }
-                child_points.push(&midpoint);
-            }
-            compiled
-                .0
-                .evaluate_interval_batch_with(&child_boxes, &mut lows_out, &mut scratch);
-            compiled
-                .0
-                .evaluate_batch_with(&child_points, &mut mids_out, &mut scratch);
-            for (child, (enclosure, mid_value)) in
-                children.drain(..).zip(lows_out.iter().zip(mids_out.iter()))
-            {
-                upper = upper.min(*mid_value);
-                queue.push((enclosure.lo(), child));
-            }
-        } else {
-            for child in children.drain(..) {
+            let (left_box, right_box) = bisect_widest(current);
+            for child in [left_box, right_box] {
                 let child_lower = compiled.eval_interval_with(&child, &mut scratch).lo();
                 for (m, iv) in midpoint.iter_mut().zip(child.iter()) {
                     *m = iv.midpoint();
@@ -631,6 +464,27 @@ pub fn sound_minimum_with(
         .map(|(lo, _)| *lo)
         .fold(f64::INFINITY, f64::min)
         .min(upper)
+}
+
+/// Splits a box in half along its widest dimension (the first one on ties),
+/// returning the lower and upper halves.
+fn bisect_widest(current: Vec<Interval>) -> (Vec<Interval>, Vec<Interval>) {
+    let split_dim = current
+        .iter()
+        .enumerate()
+        .max_by(|a, b| {
+            a.1.width()
+                .partial_cmp(&b.1.width())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    let (left, right) = current[split_dim].bisect();
+    let mut left_box = current.clone();
+    left_box[split_dim] = left;
+    let mut right_box = current;
+    right_box[split_dim] = right;
+    (left_box, right_box)
 }
 
 /// Probes the box midpoint and both extreme corners for a genuine
@@ -788,7 +642,6 @@ mod tests {
             max_boxes: 3,
             min_width: 1e-9,
             tolerance: 0.0,
-            ..BranchBoundConfig::default()
         };
         let outcome = prove_bound(
             &BoundQuery::new(&p, -1e-30),
@@ -815,42 +668,6 @@ mod tests {
             &BranchBoundConfig::default(),
         );
         assert!(outcome.counterexample().is_some());
-    }
-
-    #[test]
-    fn scalar_and_batched_modes_agree_exactly_on_fixed_queries() {
-        // Guarded and unguarded, provable and refutable queries: the
-        // lane-batched frontier must reproduce the scalar outcome exactly,
-        // including witness points and box counts.
-        let x = Polynomial::variable(0, 2);
-        let y = Polynomial::variable(1, 2);
-        let e = &(&(&x * &x) + &(&y * &y)) - &Polynomial::constant(1.0, 2);
-        let contracted =
-            &(&(&x * &x).scaled(0.81) + &(&y * &y).scaled(0.81)) - &Polynomial::constant(1.0, 2);
-        let expanded =
-            &(&(&x * &x).scaled(1.2) + &(&y * &y).scaled(1.2)) - &Polynomial::constant(1.0, 2);
-        let domain = interval_box(&[(-2.0, 2.0), (-2.0, 2.0)]);
-        for (objective, guards) in [
-            (&contracted, vec![&e]),
-            (&expanded, vec![&e]),
-            (&contracted, vec![]),
-            (&expanded, vec![]),
-        ] {
-            let mut query = BoundQuery::new(objective, 0.0);
-            for guard in guards {
-                query = query.with_guard(guard);
-            }
-            let scalar = prove_bound(
-                &query,
-                &domain,
-                &BranchBoundConfig {
-                    lane_batched: false,
-                    ..BranchBoundConfig::default()
-                },
-            );
-            let batched = prove_bound(&query, &domain, &BranchBoundConfig::default());
-            assert_eq!(scalar, batched);
-        }
     }
 
     #[test]
@@ -885,35 +702,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The lane-batched frontier returns exactly the scalar outcome on
-        /// random quadratic queries: same verdict, same witness, same box
-        /// count — speculation over the stack never changes the search.
-        #[test]
-        fn prop_batched_equals_scalar(
-            coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
-            gcoeffs in proptest::collection::vec(-2.0..2.0f64, 6),
-            bound in -1.0..1.0f64,
-        ) {
-            let basis = monomial_basis(2, 2);
-            let p = Polynomial::from_basis(2, &basis, &coeffs);
-            let g = Polynomial::from_basis(2, &basis, &gcoeffs);
-            let domain = interval_box(&[(-1.0, 1.0), (-1.0, 1.0)]);
-            let query = BoundQuery::new(&p, bound).with_guard(&g);
-            // Keep the budget modest so refuted/unknown cases stay cheap.
-            let scalar_config = BranchBoundConfig {
-                max_boxes: 20_000,
-                lane_batched: false,
-                ..BranchBoundConfig::default()
-            };
-            let batched_config = BranchBoundConfig {
-                max_boxes: 20_000,
-                ..BranchBoundConfig::default()
-            };
-            let scalar = prove_bound(&query, &domain, &scalar_config);
-            let batched = prove_bound(&query, &domain, &batched_config);
-            prop_assert_eq!(scalar, batched);
-        }
-
         #[test]
         fn prop_proved_queries_hold_on_samples(
             coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
@@ -933,22 +721,19 @@ mod tests {
             prop_assert!(p.eval(&sample) <= bound + 1e-9);
         }
 
-        /// The wave-batched `sound_minimum` returns a bit-identical bound
-        /// to the scalar reference arm, and the bound is genuinely sound
+        /// The wave-refined `sound_minimum` bound is genuinely sound
         /// against point samples.
         #[test]
-        fn prop_sound_minimum_batched_equals_scalar(
+        fn prop_sound_minimum_is_sound(
             coeffs in proptest::collection::vec(-2.0..2.0f64, 6),
             tx in 0.0..1.0f64, ty in 0.0..1.0f64,
         ) {
             let basis = monomial_basis(2, 2);
             let p = Polynomial::from_basis(2, &basis, &coeffs);
             let domain = interval_box(&[(-1.0, 1.0), (-1.0, 1.0)]);
-            let batched = sound_minimum_with(&p, &domain, 5_000, true);
-            let scalar = sound_minimum_with(&p, &domain, 5_000, false);
-            prop_assert_eq!(batched.to_bits(), scalar.to_bits());
+            let minimum = sound_minimum(&p, &domain, 5_000);
             let sample = [-1.0 + 2.0 * tx, -1.0 + 2.0 * ty];
-            prop_assert!(batched <= p.eval(&sample) + 1e-9);
+            prop_assert!(minimum <= p.eval(&sample) + 1e-9);
         }
 
         #[test]

@@ -17,16 +17,13 @@
 //!
 //! # Branch-and-bound evaluation and the query cache
 //!
-//! Every `prove_*` query compiles its objective and guards into one flat
-//! `objective + guards` family and expands its frontier
-//! [`vrl_poly::LANE_WIDTH`] boxes per sweep through the lane-batched
-//! interval kernels; both are bit-for-bit outcome-neutral versus the scalar
-//! path (kept behind [`BranchBoundConfig::lane_batched`]` = false` as the
-//! differential-testing reference).  Refuting queries additionally get a
-//! counterexample-first window: the opening boxes are traversed one per
-//! wave in classic depth-first order (see
-//! [`BranchBoundConfig::probe_boxes`]), so refutations surface as fast as a
-//! plain depth-first probe.  Compiled families are memoized in a two-level
+//! Every `prove_*` query compiles its objective and its guards into flat
+//! compiled families and encloses each box through the one scalar interval
+//! kernel, bit-for-bit the reference `Polynomial::eval_interval`.  The
+//! frontier is expanded in small waves of boxes processed in pop order;
+//! the opening boxes are traversed one per wave in classic depth-first
+//! order, so refutations surface as fast as a plain depth-first probe.
+//! Compiled families are memoized in a two-level
 //! [`CompiledQueryCache`] keyed by the exact term content of the query
 //! polynomials — a lock-free per-thread L1 backed by a process-wide
 //! sharded L2, so CEGIS loops that re-prove the same certificate family
@@ -66,8 +63,8 @@ mod lyapunov;
 mod obs;
 
 pub use branch_bound::{
-    prove_bound, prove_nonpositive, prove_positive, sound_minimum, sound_minimum_with, BoundQuery,
-    BranchBoundConfig, ProofOutcome,
+    prove_bound, prove_nonpositive, prove_positive, sound_minimum, BoundQuery, BranchBoundConfig,
+    ProofOutcome,
 };
 pub use cache::{
     query_cache_stats, reset_query_cache, reset_shared_query_cache, shared_query_cache_stats,

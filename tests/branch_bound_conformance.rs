@@ -1,24 +1,35 @@
-//! Differential soundness sweep for the lane-batched branch-and-bound
-//! frontier: over every Table 1 benchmark, the batched search
-//! (`BranchBoundConfig::lane_batched = true`, the default) must return the
-//! **exact** outcome of the scalar search — same verdict, same witness
-//! point, same box count — on an induction-style query, and the full
-//! verification pipeline must synthesize **identical certificates** under
-//! both modes.
+//! Differential soundness sweep for branch-and-bound: over every Table 1
+//! benchmark, the compiled interval kernel the prover runs on must enclose
+//! the induction query's polynomials **bit-for-bit** like the reference
+//! `Polynomial::eval_interval` (on the root domain and on every box of a
+//! fixed-depth bisection), every witness the prover returns must be a
+//! genuine counterexample under the reference `Polynomial::eval`,
+//! `sound_minimum` must bracket the true minimum, and the full
+//! verification pipeline must synthesize **identical certificates** from a
+//! cold and a warm query cache.
 //!
 //! Like `batch_conformance`, the certificates here are the fixtures'
 //! ellipsoidal demo shields sized from each benchmark's safe box (the
 //! queries need not be provable — refuted and budget-exhausted outcomes are
-//! compared just as strictly); the pipeline tests then cover genuinely
+//! checked just as strictly); the pipeline tests then cover genuinely
 //! certifiable programs.  Per-benchmark timings are printed so CI logs
 //! surface verification-speed regressions (run with `--nocapture`).
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use vrl::poly::{Interval, Polynomial};
-use vrl::solver::{prove_bound, BoundQuery, BranchBoundConfig};
+use vrl::solver::{
+    prove_bound, reset_query_cache, sound_minimum, with_query_cache, BoundQuery, BranchBoundConfig,
+    ProofOutcome,
+};
 use vrl::verify::{verify_program, VerificationConfig};
 use vrl_benchmarks::{all_benchmarks, benchmark_by_name};
 use vrl_runtime::fixtures;
+
+/// Bisection depth of the enclosure sweep: every node of the depth-6 tree
+/// (127 boxes per benchmark) is checked.
+const BISECTION_DEPTH: usize = 6;
 
 /// The induction-style query of the eval-kernel benches, generalized to any
 /// benchmark: `E(s') ≤ 0` under the guard `E(s) ≤ 0`, with `E` the
@@ -46,16 +57,41 @@ fn induction_query(
     (next_value, barrier, domain)
 }
 
+/// Every box of the depth-`depth` bisection tree of `domain` (root
+/// included), each node split along its widest dimension as the prover
+/// splits.
+fn bisection_tree(domain: &[Interval], depth: usize) -> Vec<Vec<Interval>> {
+    let mut level = vec![domain.to_vec()];
+    let mut all = level.clone();
+    for _ in 0..depth {
+        level = level
+            .iter()
+            .flat_map(|current| {
+                let split_dim = (0..current.len())
+                    .max_by(|&a, &b| current[a].width().total_cmp(&current[b].width()))
+                    .unwrap_or(0);
+                let (left, right) = current[split_dim].bisect();
+                let mut left_box = current.clone();
+                left_box[split_dim] = left;
+                let mut right_box = current.clone();
+                right_box[split_dim] = right;
+                [left_box, right_box]
+            })
+            .collect();
+        all.extend(level.iter().cloned());
+    }
+    all
+}
+
+fn bits(iv: Interval) -> (u64, u64) {
+    (iv.lo().to_bits(), iv.hi().to_bits())
+}
+
 #[test]
-fn batched_branch_and_bound_matches_scalar_on_all_table1_benchmarks() {
+fn compiled_branch_and_bound_matches_reference_on_all_table1_benchmarks() {
     let benchmarks = all_benchmarks();
     assert_eq!(benchmarks.len(), 15, "Table 1 lists 15 benchmarks");
-    let scalar_config = BranchBoundConfig {
-        max_boxes: 3_000,
-        lane_batched: false,
-        ..BranchBoundConfig::default()
-    };
-    let batched_config = BranchBoundConfig {
+    let config = BranchBoundConfig {
         max_boxes: 3_000,
         ..BranchBoundConfig::default()
     };
@@ -64,20 +100,62 @@ fn batched_branch_and_bound_matches_scalar_on_all_table1_benchmarks() {
         let name = spec.name();
         let env = spec.into_env();
         let (next_value, barrier, domain) = induction_query(&env);
+
+        // The families the prover pulls from the query cache: the objective
+        // alone and the guard alone, plus both together.
+        let start = Instant::now();
+        let families = [
+            vec![&next_value],
+            vec![&barrier],
+            vec![&next_value, &barrier],
+        ];
+        let boxes = bisection_tree(&domain, BISECTION_DEPTH);
+        for polys in &families {
+            let compiled = with_query_cache(|cache| cache.get_or_compile(polys));
+            let mut enclosures = vec![Interval::zero(); polys.len()];
+            for (b, current) in boxes.iter().enumerate() {
+                compiled.eval_interval_into(current, &mut enclosures);
+                for (poly, &enclosure) in polys.iter().zip(enclosures.iter()) {
+                    assert_eq!(
+                        bits(enclosure),
+                        bits(poly.eval_interval(current)),
+                        "{name}: compiled enclosure diverged from the reference on box {b}"
+                    );
+                }
+            }
+        }
+        let enclosure_elapsed = start.elapsed();
+
         let query = BoundQuery::new(&next_value, 0.0).with_guard(&barrier);
         let start = Instant::now();
-        let scalar = prove_bound(&query, &domain, &scalar_config);
-        let scalar_elapsed = start.elapsed();
-        let start = Instant::now();
-        let batched = prove_bound(&query, &domain, &batched_config);
-        let batched_elapsed = start.elapsed();
-        assert_eq!(
-            scalar, batched,
-            "{name}: lane-batched branch-and-bound diverged from the scalar path"
-        );
+        let outcome = prove_bound(&query, &domain, &config);
+        let prove_elapsed = start.elapsed();
+        if let ProofOutcome::Counterexample { point, value } = &outcome {
+            assert!(
+                point
+                    .iter()
+                    .zip(domain.iter())
+                    .all(|(&x, iv)| iv.contains(x)),
+                "{name}: witness {point:?} lies outside the domain"
+            );
+            assert!(
+                barrier.eval(point) <= 0.0,
+                "{name}: witness {point:?} violates the guard"
+            );
+            let reference = next_value.eval(point);
+            assert!(
+                reference > 0.0,
+                "{name}: witness {point:?} does not violate the bound"
+            );
+            assert_eq!(
+                value.to_bits(),
+                reference.to_bits(),
+                "{name}: witness value differs from the reference evaluator"
+            );
+        }
         println!(
-            "branch_bound_conformance: {name:<20} scalar {scalar_elapsed:>10.3?}  batched {batched_elapsed:>10.3?}  outcome {}",
-            match &batched {
+            "branch_bound_conformance: {name:<20} enclosures {enclosure_elapsed:>10.3?}  prove {prove_elapsed:>10.3?}  outcome {}",
+            match &outcome {
                 o if o.is_proved() => "proved",
                 o if o.counterexample().is_some() => "refuted",
                 _ => "unknown",
@@ -91,26 +169,40 @@ fn batched_branch_and_bound_matches_scalar_on_all_table1_benchmarks() {
 }
 
 #[test]
-fn sound_minimum_is_bit_identical_across_modes_on_all_table1_benchmarks() {
-    // `sound_minimum`'s wave-batched refinement must return the *bit-exact*
-    // bound of the scalar one-box-at-a-time arm — same pops, same splits,
-    // same float — on every benchmark's certificate and successor
-    // polynomials, across budgets that stop mid-wave, exactly at a wave
-    // boundary, and deep into refinement.
-    use vrl::solver::sound_minimum_with;
+fn sound_minimum_brackets_the_minimum_on_all_table1_benchmarks() {
+    // The returned bound must lie between the reference root enclosure's
+    // lower endpoint and the reference value at every sampled point, on
+    // every benchmark's certificate and successor polynomials, across
+    // budgets that stop mid-wave, exactly at a wave boundary, and deep into
+    // refinement.
+    let mut rng = SmallRng::seed_from_u64(2019);
     for spec in all_benchmarks() {
         let name = spec.name();
         let env = spec.into_env();
         let (next_value, barrier, domain) = induction_query(&env);
+        let mut samples: Vec<Vec<f64>> = vec![
+            domain.iter().map(Interval::midpoint).collect(),
+            domain.iter().map(Interval::lo).collect(),
+            domain.iter().map(Interval::hi).collect(),
+        ];
+        samples.extend((0..32).map(|_| {
+            domain
+                .iter()
+                .map(|iv| iv.lo() + rng.gen_range(0.0..1.0) * iv.width())
+                .collect()
+        }));
         for polynomial in [&barrier, &next_value] {
+            let root_lo = polynomial.eval_interval(&domain).lo();
+            let sampled_min = samples
+                .iter()
+                .map(|s| polynomial.eval(s))
+                .fold(f64::INFINITY, f64::min);
             for max_boxes in [1usize, 7, 16, 300] {
-                let scalar = sound_minimum_with(polynomial, &domain, max_boxes, false);
-                let batched = sound_minimum_with(polynomial, &domain, max_boxes, true);
-                assert_eq!(
-                    scalar.to_bits(),
-                    batched.to_bits(),
-                    "{name}: sound_minimum diverged at max_boxes={max_boxes} \
-                     (scalar {scalar}, batched {batched})"
+                let minimum = sound_minimum(polynomial, &domain, max_boxes);
+                assert!(
+                    root_lo <= minimum && minimum <= sampled_min,
+                    "{name}: sound_minimum {minimum} at max_boxes={max_boxes} \
+                     escapes the bracket [{root_lo}, {sampled_min}]"
                 );
             }
         }
@@ -118,13 +210,13 @@ fn sound_minimum_is_bit_identical_across_modes_on_all_table1_benchmarks() {
 }
 
 #[test]
-fn verification_certificates_are_identical_across_modes() {
+fn verification_certificates_are_identical_across_runs() {
     // Full-pipeline certificate identity: the linear (Lyapunov) back-end on
     // a Table 1 LTI benchmark, and the nonlinear (sampled-constraint +
     // branch-and-bound) back-end on the Duffing oscillator with the paper's
-    // Example 4.3 program.  Verification is seeded, so the only degree of
-    // freedom between the runs is the branch-and-bound evaluation mode —
-    // identical certificates prove the batched frontier changes nothing.
+    // Example 4.3 program.  Verification is seeded, so the only difference
+    // between the two runs is the query cache — cold for the first, warm
+    // for the second — and identical certificates prove it changes nothing.
     let cases: Vec<(
         &str,
         vrl::dynamics::EnvironmentContext,
@@ -149,24 +241,23 @@ fn verification_certificates_are_identical_across_modes() {
         ),
     ];
     for (name, env, program, degree) in cases {
-        let mut scalar_config = VerificationConfig::with_degree(degree);
-        scalar_config.branch_bound.lane_batched = false;
-        let batched_config = VerificationConfig::with_degree(degree);
+        let config = VerificationConfig::with_degree(degree);
+        reset_query_cache();
         let start = Instant::now();
-        let scalar_cert = verify_program(&env, &program, env.init(), &scalar_config)
-            .unwrap_or_else(|e| panic!("{name}: scalar verification failed: {e}"));
-        let scalar_elapsed = start.elapsed();
+        let cold = verify_program(&env, &program, env.init(), &config)
+            .unwrap_or_else(|e| panic!("{name}: cold-cache verification failed: {e}"));
+        let cold_elapsed = start.elapsed();
         let start = Instant::now();
-        let batched_cert = verify_program(&env, &program, env.init(), &batched_config)
-            .unwrap_or_else(|e| panic!("{name}: batched verification failed: {e}"));
-        let batched_elapsed = start.elapsed();
+        let warm = verify_program(&env, &program, env.init(), &config)
+            .unwrap_or_else(|e| panic!("{name}: warm-cache verification failed: {e}"));
+        let warm_elapsed = start.elapsed();
         assert_eq!(
-            scalar_cert.polynomial(),
-            batched_cert.polynomial(),
-            "{name}: the two modes synthesized different certificates"
+            cold.polynomial(),
+            warm.polynomial(),
+            "{name}: the two runs synthesized different certificates"
         );
         println!(
-            "branch_bound_conformance: verify {name:<12} scalar {scalar_elapsed:>10.3?}  batched {batched_elapsed:>10.3?}  (identical certificate)"
+            "branch_bound_conformance: verify {name:<12} cold {cold_elapsed:>10.3?}  warm {warm_elapsed:>10.3?}  (identical certificate)"
         );
     }
 }

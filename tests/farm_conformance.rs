@@ -11,8 +11,10 @@
 //!    identity on action words), with and without a decision table.
 //! 3. Decision-table degradation: on *every* generated instance the table
 //!    build either succeeds or falls back to the exact path — never
-//!    panics — and the fallback obs counter records each degradation
-//!    (the PR 8 finding: a dense grid certifies nothing at 8/16/18-D).
+//!    panics (a dense grid certifies nothing at 8/16/18-D).  That the
+//!    fallback obs counter records each degradation is pinned in
+//!    `farm_counters`, a binary of its own, because sibling tests here
+//!    bump the same process-global counter concurrently.
 //! 4. Artifact round-trips on generated environments, products included:
 //!    canonical bytes are a fixed point and the restored shield decides
 //!    bit-identically.
@@ -171,23 +173,14 @@ fn table_build_degrades_gracefully_on_every_generated_instance() {
     let stride = if cfg!(debug_assertions) { 4 } else { 1 };
     for scenario in scenarios.iter().step_by(stride) {
         let env = scenario.env();
-        let before = vrl::shield::decide_table_build_fallback_count();
         // Resolution 8 certifies the low-dimensional grids and overflows
         // the cell cap from 8 dimensions up — the PR 8 finding.  Either
         // way this must not panic.
         let shield = demo_shield(env).with_table_or_fallback(&TableConfig::uniform(8));
-        let after = vrl::shield::decide_table_build_fallback_count();
         if shield.table().is_some() {
             built += 1;
-            assert_eq!(after, before, "{}: spurious fallback count", scenario.id());
         } else {
             fell_back += 1;
-            assert_eq!(
-                after,
-                before + 1,
-                "{}: fallback must be recorded in the obs counter",
-                scenario.id()
-            );
         }
         // Degraded or not, the shield still serves — bit-identically to
         // the exact path.
