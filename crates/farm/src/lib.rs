@@ -17,14 +17,14 @@
 //!   job.
 //! - [`scheduler`] — a worker pool that runs CEGIS over a scenario list
 //!   with deterministic budgets, checkpoints successful shields as
-//!   [`vrl_runtime::ShieldArtifact`]s, and mass-deploys them through
-//!   [`vrl_runtime::ShardRouter`] / [`vrl_runtime::FleetRouter`].
+//!   [`vrl_runtime::ShieldArtifact`]s, and mass-deploys them through a
+//!   [`vrl_runtime::ShardRouter`] (in-process or remote members alike).
 //!
 //! # Quickstart
 //!
 //! ```
 //! use vrl_farm::{generate, run_farm, FarmConfig, JobConfig};
-//! use vrl_runtime::{Placement, ShardRouter};
+//! use vrl_runtime::ShardRouter;
 //!
 //! let scenarios = generate(&FarmConfig::smoke());
 //! assert!(scenarios.len() >= 20);
@@ -36,7 +36,7 @@
 //!     .cloned()
 //!     .collect();
 //! let report = run_farm(&picked, &JobConfig::default(), 2);
-//! let router = ShardRouter::new(2, 1, Placement::Jump);
+//! let router = ShardRouter::new(2, 1);
 //! let deployed = report.deploy_to_router(&router).unwrap();
 //! assert_eq!(deployed, report.synthesized());
 //! ```

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use vrl::dynamics::LinearPolicy;
 use vrl::shield::{synthesize_shield, CegisConfig, CegisError, TableConfig};
 use vrl_runtime::fixtures::demo_oracle;
-use vrl_runtime::{FleetRouter, ServeError, ShardRouter, ShieldArtifact};
+use vrl_runtime::{ServeError, ShardRouter, ShieldArtifact};
 
 /// Per-job settings shared by every job of a farm run.
 #[derive(Debug, Clone)]
@@ -148,24 +148,6 @@ impl FarmReport {
         for record in &self.records {
             if let Some(artifact) = &record.artifact {
                 router.deploy(&record.scenario_id, artifact.clone())?;
-                crate::obs::deployments().inc();
-                deployed += 1;
-            }
-        }
-        Ok(deployed)
-    }
-
-    /// Mass-deploys every checkpointed artifact to a replicated fleet
-    /// under its scenario ID and returns how many were deployed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ServeError`]; earlier deployments stay live.
-    pub fn deploy_to_fleet(&self, fleet: &FleetRouter) -> Result<usize, ServeError> {
-        let mut deployed = 0;
-        for record in &self.records {
-            if let Some(artifact) = &record.artifact {
-                fleet.deploy(&record.scenario_id, artifact.clone())?;
                 crate::obs::deployments().inc();
                 deployed += 1;
             }

@@ -49,8 +49,8 @@ mod trace;
 pub use metrics::{Counter, CounterVec, Gauge, Histogram, HistogramVec, HISTOGRAM_BUCKETS};
 pub use registry::{registry, Registry};
 pub use trace::{
-    drain_spans, request_span, span, spans_to_chrome_trace, spans_to_json_lines, uptime_seconds,
-    SpanGuard, SpanRecord, SPAN_RING_CAPACITY,
+    drain_spans, push_json_string, request_span, span, spans_to_chrome_trace, spans_to_json_lines,
+    uptime_seconds, SpanGuard, SpanRecord, SPAN_RING_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

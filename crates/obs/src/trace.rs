@@ -240,9 +240,14 @@ pub fn drain_spans() -> Vec<SpanRecord> {
     ring.drain(..).collect()
 }
 
-/// Appends a minimally escaped JSON string literal (the same escaping
-/// the `vrl-runtime` wire codec uses).
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal.
+///
+/// Escapes `"` and `\`, writes `\n`, `\r` and `\t` in their short
+/// forms and every other control character below U+0020 as `\u00XX`; all
+/// other characters pass through unchanged (the output is UTF-8, not
+/// ASCII-escaped).  The span exporters here and the `vrl-runtime` JSON
+/// wire codec both write strings through this one function.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

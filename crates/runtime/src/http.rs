@@ -55,14 +55,13 @@
 //!
 //! The front-end serves anything implementing [`ShieldBackend`]: a plain
 //! [`ShieldServer`] (single process) or a
-//! [`ShardRouter`] (deployments consistent-hashed
+//! [`ShardRouter`](crate::ShardRouter) (deployments placed and replicated
 //! across shards).  See the crate-level example and
 //! `examples/http_server.rs` for the end-to-end story.
 
 use crate::arena::{ConnScratch, StateArena};
 use crate::artifact::{ArtifactError, ShieldArtifact};
 use crate::frame;
-use crate::router::ShardRouter;
 use crate::server::{ServeError, ShieldServer};
 use crate::telemetry::DeploymentTelemetry;
 use crate::wire::{self, WireError};
@@ -76,10 +75,12 @@ use vrl::shield::ShieldDecision;
 
 /// The serving operations the HTTP front-end needs from its backend.
 ///
-/// Implemented by [`ShieldServer`] (all deployments in-process) and
-/// [`ShardRouter`] (deployments consistent-hashed across shards); the
-/// front-end is written against this trait so moving from one process to a
-/// sharded fleet is a constructor change, not a protocol change.
+/// Implemented by [`ShieldServer`] (all deployments in-process),
+/// [`RemoteShard`](crate::RemoteShard) (a shard in another process) and
+/// [`ShardRouter`](crate::ShardRouter) (deployments placed and replicated
+/// across member backends); the front-end is written against this trait
+/// so moving from one process to a sharded fleet is a constructor change,
+/// not a protocol change.
 pub trait ShieldBackend: Send + Sync + 'static {
     /// Deploys `artifact` under `name`, hot-replacing any existing
     /// deployment (HTTP `PUT` semantics).  Returns the generation now
@@ -108,6 +109,32 @@ pub trait ShieldBackend: Send + Sync + 'static {
     /// Removes a deployment (HTTP `DELETE` semantics).  `Ok(true)` when it
     /// existed, `Ok(false)` when there was nothing to remove.
     fn remove_deployment(&self, name: &str) -> Result<bool, ServeError>;
+
+    /// Deploys checksummed artifact bytes (the [`ShieldArtifact`] wire
+    /// format) under `name`, as [`put_artifact`](Self::put_artifact).  The
+    /// default validates and decodes them here; a remote shard forwards the
+    /// bytes as they are.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Artifact`] when the bytes fail validation; otherwise
+    /// as `put_artifact`.
+    fn put_artifact_bytes(&self, name: &str, bytes: &[u8]) -> Result<u64, ServeError> {
+        self.put_artifact(name, ShieldArtifact::from_bytes(bytes)?)
+    }
+
+    /// A health probe: the [`deployment_generations`](Self::deployment_generations)
+    /// report, or the error that makes the backend unreachable.  The
+    /// default never fails (an in-process backend is up while it exists); a
+    /// remote shard fails when its `GET /healthz` does, so a prober can
+    /// tell a down shard from an empty one.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Remote`] when the backend cannot be reached.
+    fn probe_deployments(&self) -> Result<Vec<(String, u64)>, ServeError> {
+        Ok(self.deployment_generations())
+    }
 }
 
 impl ShieldBackend for ShieldServer {
@@ -143,42 +170,6 @@ impl ShieldBackend for ShieldServer {
 
     fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
         Ok(ShieldServer::undeploy(self, name))
-    }
-}
-
-impl ShieldBackend for ShardRouter {
-    fn put_artifact(&self, name: &str, artifact: ShieldArtifact) -> Result<u64, ServeError> {
-        ShardRouter::deploy(self, name, artifact)
-    }
-
-    fn decide_batch(
-        &self,
-        name: &str,
-        states: &[Vec<f64>],
-    ) -> Result<Vec<ShieldDecision>, ServeError> {
-        ShardRouter::decide_batch(self, name, states)
-    }
-
-    fn backend_telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
-        self.telemetry(name)
-    }
-
-    fn deployment_names(&self) -> Vec<String> {
-        self.deployments()
-    }
-
-    fn deployment_generations(&self) -> Vec<(String, u64)> {
-        self.deployments()
-            .into_iter()
-            .filter_map(|name| {
-                let generation = self.generation(&name).ok()?;
-                Some((name, generation))
-            })
-            .collect()
-    }
-
-    fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
-        Ok(ShardRouter::undeploy(self, name))
     }
 }
 

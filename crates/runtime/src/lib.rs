@@ -23,16 +23,18 @@
 //!   `healthz` / Prometheus `metrics`) in front of any
 //!   [`http::ShieldBackend`], using only the standard library (see the
 //!   README's wire-protocol reference).
-//! * **Sharding** — [`ShardRouter`] consistent-hashes deployments across
-//!   backend shield servers (rendezvous or jump placement), rehydrates
-//!   moved deployments from artifact bytes when the fleet grows, and
-//!   aggregates per-shard telemetry.
-//! * **Fault-tolerant fleets** — [`RemoteShard`] speaks the wire protocol
-//!   to a shard in another process with deadlines, bounded jittered
-//!   retries, and a per-shard circuit breaker; [`FleetRouter`] replicates
-//!   every deployment on two shards, health-probes them, fails `decide`
-//!   over when the primary dies, rehydrates recovered shards, and hands
-//!   telemetry off across replicas.  [`fault::ChaosProxy`] scripts
+//! * **Sharding and replication** — one [`ShardRouter`] places
+//!   deployments on its member [`http::ShieldBackend`]s by rendezvous
+//!   hashing and keeps each on `r` of them.  Over in-process
+//!   [`ShieldServer`]s with `r = 1` ([`ShardRouter::new`]) it scales one
+//!   process out; over [`RemoteShard`]s with `r = 2`
+//!   ([`ShardRouter::remote`]) it is a fault-tolerant fleet.  Either way it
+//!   fails `decide` over when a replica dies, health-probes members,
+//!   rehydrates a grown, restarted or stale member from canonical artifact
+//!   bytes, and sums telemetry across replicas.
+//! * **Remote shards** — [`RemoteShard`] speaks the wire protocol to a
+//!   shard in another process with deadlines, bounded jittered retries, and
+//!   a per-shard circuit breaker.  [`fault::ChaosProxy`] scripts
 //!   connection-level faults so every failover path is hermetically
 //!   testable.
 //!
@@ -79,7 +81,6 @@ mod artifact;
 mod codec;
 pub mod fault;
 pub mod fixtures;
-mod fleet;
 pub mod frame;
 pub mod http;
 mod obs;
@@ -96,12 +97,11 @@ pub use artifact::{
     ArtifactError, ArtifactMetadata, ShieldArtifact, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION,
 };
 pub use codec::{fnv1a64, DecodeError};
-pub use fleet::{FleetConfig, FleetRouter};
 pub use http::{HttpConfig, HttpFrontend, MiniClient, MiniResponse, ShieldBackend};
 pub use obs::install_metrics;
 pub use pool::WorkerPool;
 pub use remote::{BreakerState, RemoteError, RemoteShard, RemoteShardConfig};
-pub use router::{jump_consistent_hash, Placement, RouterTelemetry, ShardRouter, ShardTelemetry};
+pub use router::{rendezvous_rank, FleetConfig, RouterTelemetry, ShardRouter, ShardTelemetry};
 pub use server::{ServeError, ShieldServer};
 pub use telemetry::DeploymentTelemetry;
 

@@ -82,7 +82,7 @@ runtime_counter!(
 runtime_counter!(
     fleet_rehydrations,
     "vrl_fleet_rehydrations_total",
-    "Deployments re-pushed to a recovered shard by the health prober."
+    "Deployments re-pushed by the health prober to a replica that lost them or missed a redeploy."
 );
 runtime_counter!(
     fleet_unavailable,

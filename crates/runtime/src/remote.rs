@@ -3,7 +3,7 @@
 //! [`RemoteShard`] implements [`ShieldBackend`](crate::http::ShieldBackend)
 //! over the wire protocol served by
 //! [`HttpFrontend`](crate::http::HttpFrontend), so a process holding a
-//! [`FleetRouter`](crate::fleet::FleetRouter) can treat a shard in another
+//! [`ShardRouter`](crate::ShardRouter) can treat a shard in another
 //! process (or on another machine) exactly like an in-process
 //! [`ShieldServer`](crate::server::ShieldServer).  Unlike the test-oriented
 //! [`MiniClient`](crate::http::MiniClient) it is built for an unreliable
@@ -553,28 +553,6 @@ impl RemoteShard {
         })
     }
 
-    /// Deploys (or hot-redeploys) already-encoded artifact bytes, returning
-    /// the shard's new generation for the deployment.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteShard::decide_batch_remote`].
-    pub fn put_artifact_bytes(&self, deployment: &str, bytes: &[u8]) -> Result<u64, ServeError> {
-        let path = format!("/v1/deployments/{deployment}");
-        let response = self
-            .request("PUT", &path, bytes, "application/octet-stream")
-            .map_err(ServeError::Remote)?;
-        if response.status != 200 {
-            return Err(self.shard_error(deployment, &response));
-        }
-        wire::decode_deployed_response(&response.body).map_err(|error| {
-            ServeError::Remote(RemoteError::Protocol {
-                addr: self.addr,
-                detail: format!("bad deploy response: {error}"),
-            })
-        })
-    }
-
     /// Fetches the shard's telemetry snapshot for a deployment.
     ///
     /// # Errors
@@ -681,6 +659,31 @@ impl ShieldBackend for RemoteShard {
 
     fn remove_deployment(&self, name: &str) -> Result<bool, ServeError> {
         self.undeploy_remote(name)
+    }
+
+    /// Forwards the bytes in one `PUT` without decoding them locally,
+    /// returning the shard's new generation for the deployment.
+    fn put_artifact_bytes(&self, name: &str, bytes: &[u8]) -> Result<u64, ServeError> {
+        let path = format!("/v1/deployments/{name}");
+        let response = self
+            .request("PUT", &path, bytes, "application/octet-stream")
+            .map_err(ServeError::Remote)?;
+        if response.status != 200 {
+            return Err(self.shard_error(name, &response));
+        }
+        wire::decode_deployed_response(&response.body).map_err(|error| {
+            ServeError::Remote(RemoteError::Protocol {
+                addr: self.addr,
+                detail: format!("bad deploy response: {error}"),
+            })
+        })
+    }
+
+    /// One [`RemoteShard::probe`]: fails when the shard is unreachable.
+    fn probe_deployments(&self) -> Result<Vec<(String, u64)>, ServeError> {
+        self.probe()
+            .map(|(_, deployments)| deployments)
+            .map_err(ServeError::Remote)
     }
 }
 

@@ -42,6 +42,7 @@ use crate::ArtifactMetadata;
 use std::fmt;
 use std::fmt::Write as _;
 use vrl::shield::ShieldDecision;
+use vrl_obs::push_json_string;
 
 /// Maximum nesting depth accepted by the JSON parser: a decide request is
 /// at most 3 levels deep (`{"states": [[...]]}`), so 16 is generous while
@@ -218,7 +219,7 @@ impl Json {
             Json::U64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Str(s) => write_json_string(out, s),
+            Json::Str(s) => push_json_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -235,7 +236,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(out, k);
+                    push_json_string(out, k);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -254,24 +255,6 @@ fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

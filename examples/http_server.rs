@@ -1,7 +1,7 @@
 //! Networked shield serving, end to end: an HTTP front-end over a sharded
 //! fleet, driven by an in-process client.
 //!
-//! 1. Start a `ShardRouter` (3 shield-server shards, rendezvous placement)
+//! 1. Start a `ShardRouter` (3 in-process shield-server shards, one replica each)
 //!    behind the std-only HTTP/1.1 front-end on a loopback port.
 //! 2. `PUT` checksummed shield artifacts for two deployments over the wire.
 //! 3. `POST` single and batched decide requests — over the JSON codec and
@@ -10,7 +10,7 @@
 //!    bit-identical (all traffic rides the lane-batched `decide_batch`
 //!    kernels server-side).
 //! 4. `GET` per-deployment telemetry and `/healthz`.
-//! 5. Grow the fleet by one shard and watch the consistent hash rehydrate
+//! 5. Grow the fleet by one shard and watch the rendezvous placement rehydrate
 //!    only the deployments whose placement moved.
 //! 6. Scrape `GET /metrics` (the process-wide Prometheus catalog spanning
 //!    synthesis, verification, and serving) and export the request's trace
@@ -26,12 +26,12 @@ use std::sync::Arc;
 use vrl::shield::TableConfig;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
-use vrl_runtime::{fixtures, frame, wire, Placement, ShardRouter};
+use vrl_runtime::{fixtures, frame, wire, ShardRouter, ShieldServer};
 
 fn main() {
     // A sharded backend: three in-process shield servers, deployments
-    // consistent-hashed across them by name.
-    let router = Arc::new(ShardRouter::new(3, 1, Placement::Rendezvous));
+    // placed across them by rendezvous hashing on the name.
+    let router = Arc::new(ShardRouter::new(3, 1));
     let frontend = HttpFrontend::bind(
         "127.0.0.1:0",
         Arc::clone(&router) as Arc<dyn ShieldBackend>,
@@ -83,7 +83,7 @@ fn main() {
             "PUT /v1/deployments/{name} -> {} {} (shard {})",
             response.status,
             response.text(),
-            router.shard_for(name)
+            router.replicas_for(name)[0]
         );
     }
 
@@ -187,9 +187,9 @@ fn main() {
         tagged.header("x-request-id").unwrap_or("<missing>")
     );
 
-    // Grow the fleet: the consistent hash moves (in expectation) 1/4 of the
-    // deployments — each rehydrated on the new shard from artifact bytes.
-    let moved = router.add_shard();
+    // Grow the fleet: rendezvous placement moves (in expectation) 1/4 of
+    // the deployments — each rehydrated on the new shard from artifact bytes.
+    let moved = router.add_member(Arc::new(ShieldServer::with_workers(1)));
     println!(
         "added shard 3; rehydrated {:?} on it (everything else stayed put)",
         moved

@@ -3,7 +3,7 @@
 //! 1. Start two shard processes (in-process [`ShieldServer`]s behind their
 //!    own HTTP front-ends on loopback ports) — stand-ins for shard
 //!    machines.
-//! 2. Build a [`FleetRouter`] over both addresses (replicas = 2, background
+//! 2. Build a [`ShardRouter`] over both addresses (replicas = 2, background
 //!    health prober on) and put an HTTP front-end in front of the fleet.
 //! 3. `PUT` the pendulum shield artifact once; the fleet writes it to
 //!    **both** replicas and records the canonical bytes for rehydration.
@@ -24,7 +24,7 @@ use std::time::Duration;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::decode_decide_response;
-use vrl_runtime::{fixtures, FleetConfig, FleetRouter, ShieldServer};
+use vrl_runtime::{fixtures, FleetConfig, ShardRouter, ShieldServer};
 
 fn start_shard() -> HttpFrontend {
     HttpFrontend::bind(
@@ -49,7 +49,7 @@ fn main() {
 
     // The fleet: every deployment replicated on both shards, a background
     // prober flipping liveness and rehydrating restarted shards.
-    let fleet = Arc::new(FleetRouter::new(
+    let fleet = Arc::new(ShardRouter::remote(
         &addrs,
         FleetConfig {
             probe_interval: Some(Duration::from_millis(200)),
@@ -169,6 +169,7 @@ fn main() {
     for series in [
         "vrl_fleet_failovers_total",
         "vrl_fleet_probes_total",
+        "vrl_router_shard_requests_total",
         "vrl_remote_retries_total",
         "vrl_remote_breaker_transitions_total",
     ] {

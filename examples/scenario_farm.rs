@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use vrl::dynamics::Policy;
 use vrl::shield::{CegisConfig, TableConfig};
 use vrl_farm::{generate, run_farm, FarmConfig, JobConfig, Scenario};
-use vrl_runtime::{Placement, ShardRouter};
+use vrl_runtime::ShardRouter;
 
 fn main() {
     vrl_farm::install_metrics();
@@ -60,7 +60,7 @@ fn main() {
 
     // Mass-deploy every checkpointed artifact and serve one decision per
     // deployment, bit-identical to deciding against the artifact locally.
-    let router = ShardRouter::new(3, 1, Placement::Jump);
+    let router = ShardRouter::new(3, 1);
     let deployed = report.deploy_to_router(&router).expect("deploy");
     println!("deployed {deployed} artifacts across 3 shards");
     let mut served = 0usize;

@@ -11,7 +11,7 @@ use vrl::shield::{CegisConfig, TableConfig};
 use vrl_farm::{
     fnv1a64, generate, run_farm, scenario_by_id, FarmConfig, JobConfig, JobOutcome, Scenario,
 };
-use vrl_runtime::{Placement, ShardRouter};
+use vrl_runtime::ShardRouter;
 
 /// A seeded subset of scenarios cheap enough to synthesize in tests:
 /// quadcopter drags, Duffing dampings, and a two-car platoon.  Debug
@@ -121,7 +121,7 @@ fn farm_reports_mass_deploy_and_serve_through_a_shard_router() {
     );
     assert!(report.jobs_per_sec() > 0.0);
 
-    let router = ShardRouter::new(3, 1, Placement::Jump);
+    let router = ShardRouter::new(3, 1);
     let deployed = report.deploy_to_router(&router).expect("deploy");
     assert_eq!(deployed, report.synthesized());
     assert!(deployed >= 1);

@@ -7,7 +7,7 @@
 //! Topology per scenario:
 //!
 //! ```text
-//!   FleetRouter ──► ChaosProxy ──► HttpFrontend(primary ShieldServer)
+//!   ShardRouter ──► ChaosProxy ──► HttpFrontend(primary ShieldServer)
 //!        │
 //!        └────────────────────────► HttpFrontend(backup ShieldServer)
 //! ```
@@ -26,8 +26,8 @@ use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::fault::{ChaosProxy, Fault, FaultPlan};
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::{
-    fixtures, FleetConfig, FleetRouter, Placement, RemoteShard, RemoteShardConfig, ShieldArtifact,
-    ShieldServer,
+    fixtures, rendezvous_rank, FleetConfig, RemoteShard, RemoteShardConfig, ShardRouter,
+    ShieldArtifact, ShieldServer,
 };
 
 fn pendulum_artifact(seed: u64) -> ShieldArtifact {
@@ -95,7 +95,6 @@ fn fleet_config() -> FleetConfig {
         replicas: 2,
         probe_interval: None,
         shard_config: fast_shard_config(),
-        ..FleetConfig::default()
     }
 }
 
@@ -105,17 +104,17 @@ const DEPLOYMENT: &str = "pendulum";
 /// two-shard fleet — fixed by the placement function, computed up front so
 /// the chaos proxy can be wired in front of the primary.
 fn replica_order() -> [usize; 2] {
-    let ranked = Placement::Rendezvous.ranked_shards(DEPLOYMENT, 2, 2);
+    let ranked = rendezvous_rank(DEPLOYMENT, 2, 2);
     [ranked[0], ranked[1]]
 }
 
 /// Builds a two-replica fleet with `primary_addr` in the primary slot and
 /// `backup_addr` in the backup slot.
-fn build_fleet(primary_addr: SocketAddr, backup_addr: SocketAddr) -> FleetRouter {
+fn build_fleet(primary_addr: SocketAddr, backup_addr: SocketAddr) -> ShardRouter {
     let [primary, _backup] = replica_order();
     let mut addrs = [backup_addr, backup_addr];
     addrs[primary] = primary_addr;
-    FleetRouter::new(&addrs, fleet_config())
+    ShardRouter::remote(&addrs, fleet_config())
 }
 
 /// The acceptance bound: a logical fleet request may spend at most one
@@ -457,5 +456,61 @@ fn probe_rehydrates_a_shard_that_lost_its_deployments() {
 
     fleet.shutdown();
     primary_front.shutdown();
+    backup_shard.shutdown();
+}
+
+#[test]
+fn probe_brings_a_replica_that_missed_a_redeploy_to_the_new_bytes() {
+    // v1 reaches both replicas; every attempt of the v2 PUT to the primary
+    // is cut, so only the backup accepts v2.  When the primary answers
+    // probes again it still lists the deployment (at v1), and the probe
+    // must push it the v2 bytes — otherwise the primary, as rank 1, goes
+    // back to serving the superseded shield.
+    let primary_shard = start_shard();
+    let backup_shard = start_shard();
+    let v2_put_attempts = fast_shard_config().max_retries as usize + 1;
+    let mut script = vec![Fault::Pass]; // v1 PUT
+    script.extend(std::iter::repeat_n(Fault::Disconnect, v2_put_attempts));
+    let plan = FaultPlan::new(script).with_default(Fault::Pass);
+    let proxy = ChaosProxy::launch(primary_shard.local_addr(), plan).expect("proxy binds");
+    let fleet = build_fleet(proxy.addr(), backup_shard.local_addr());
+
+    let v1 = pendulum_artifact(17);
+    let v2 = pendulum_artifact(18);
+    let (v1_bytes, v2_bytes) = (v1.to_bytes(), v2.to_bytes());
+    fleet
+        .deploy(DEPLOYMENT, v1)
+        .expect("both replicas accept v1");
+    fleet
+        .deploy(DEPLOYMENT, v2)
+        .expect("the backup accepts v2 while the primary is cut off");
+
+    let states = sample_states(100, 37);
+    let v1_decisions = direct_decisions(&v1_bytes, &states);
+    let v2_decisions = direct_decisions(&v2_bytes, &states);
+    assert_ne!(
+        v1_decisions, v2_decisions,
+        "precondition: v1 and v2 decide differently on the sampled states"
+    );
+
+    let [primary_index, _] = replica_order();
+    let liveness = fleet.probe_now();
+    assert!(liveness[primary_index], "the primary probes up again");
+
+    let decisions = fleet
+        .decide_batch(DEPLOYMENT, &states)
+        .expect("the fleet serves");
+    let wire: Vec<(Vec<u64>, bool)> = decisions
+        .into_iter()
+        .map(|d| (d.action.iter().map(|v| v.to_bits()).collect(), d.intervened))
+        .collect();
+    assert_eq!(
+        wire, v2_decisions,
+        "the recovered primary must serve the last deployed shield"
+    );
+
+    fleet.shutdown();
+    proxy.shutdown();
+    primary_shard.shutdown();
     backup_shard.shutdown();
 }

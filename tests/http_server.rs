@@ -11,7 +11,7 @@ use std::time::Duration;
 use vrl_benchmarks::benchmark_by_name;
 use vrl_runtime::http::{HttpConfig, HttpFrontend, MiniClient, ShieldBackend};
 use vrl_runtime::wire::Json;
-use vrl_runtime::{fixtures, Placement, ShardRouter, ShieldArtifact, ShieldServer};
+use vrl_runtime::{fixtures, ShardRouter, ShieldArtifact, ShieldServer};
 
 /// The pendulum demo deployment used throughout (the bench deployment, with
 /// a smaller oracle so debug-mode tests stay fast).
@@ -394,7 +394,7 @@ fn http_level_framing_errors_are_clean() {
 fn frontend_serves_a_shard_router() {
     // The same wire protocol over a sharded fleet: deployments land on
     // their placed shards and answer identically to a direct server.
-    let router = Arc::new(ShardRouter::new(3, 1, Placement::Rendezvous));
+    let router = Arc::new(ShardRouter::new(3, 1));
     let frontend = start_frontend(Arc::clone(&router) as Arc<dyn ShieldBackend>);
     let mut client = MiniClient::connect(frontend.local_addr()).unwrap();
 
