@@ -30,7 +30,7 @@ mod vector;
 pub use decomp::{is_positive_definite, Cholesky, Lu};
 pub use eigen::{spectral_radius, SymmetricEigen};
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, DOT_START};
 pub use vector::Vector;
 
 /// Convenience result alias used throughout the crate.

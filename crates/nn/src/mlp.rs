@@ -2,7 +2,7 @@
 
 use crate::Activation;
 use rand::Rng;
-use vrl_linalg::{Matrix, Vector};
+use vrl_linalg::{Matrix, Vector, DOT_START};
 
 /// A dense layer `y = act(W x + b)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,20 +91,20 @@ impl DenseLayer {
         }
     }
 
-    /// Runs the layer on a sweep of [`BATCH_LANES`] inputs packed
+    /// Runs the layer on a full sweep of [`BATCH_LANES`] inputs packed
     /// **feature-major** in `inputs` (`inputs[k * BATCH_LANES + lane]` is
-    /// feature `k` of lane `lane`; pad lanes hold `0.0`), writing
-    /// feature-major outputs into `out` (length
-    /// `output_dim * BATCH_LANES`).
+    /// feature `k` of lane `lane`), writing feature-major outputs into
+    /// `out` (length `output_dim * BATCH_LANES`).
     ///
     /// The lane dimension is the innermost, contiguous axis, so the inner
     /// loop is a fixed-width 8-lane multiply-accumulate the compiler
     /// lowers to SIMD: each weight `w[i][k]` is loaded once and broadcast
-    /// across all lanes, and each lane's accumulator advances through `k`
-    /// in exactly the order of [`DenseLayer::forward_into`]'s dot product
-    /// (`((0 + p₀) + p₁) + …`), then adds the bias and applies the
-    /// activation — every live lane's output is therefore bit-identical
-    /// to the scalar path.  Pad lanes accumulate zeros and are never read.
+    /// across all lanes, and each lane's accumulator starts from
+    /// [`DOT_START`] and advances through `k` in exactly the order of
+    /// [`DenseLayer::forward_into`]'s dot product
+    /// (`((-0.0 + p₀) + p₁) + …`), then adds the bias and applies the
+    /// activation — every lane's output is therefore bit-identical to the
+    /// scalar path, signed zeros included.
     fn forward_batch(&self, inputs: &[f64], out: &mut [f64]) {
         let in_dim = self.input_dim();
         let out_dim = self.output_dim();
@@ -112,7 +112,7 @@ impl DenseLayer {
         debug_assert_eq!(out.len(), out_dim * BATCH_LANES);
         for i in 0..out_dim {
             let row = self.weights.row(i);
-            let mut acc = [0.0f64; BATCH_LANES];
+            let mut acc = [DOT_START; BATCH_LANES];
             // `chunks_exact` + the array conversion give the optimizer a
             // constant 8-lane trip count with no bounds checks in the
             // multiply-accumulate loop.
@@ -133,7 +133,8 @@ impl DenseLayer {
 
 /// Number of states a batched forward pass processes per sweep: enough to
 /// amortize each weight row's memory traffic, small enough that a sweep's
-/// lane-major activations stay cache-resident next to the row.
+/// lane-major activations stay cache-resident next to the row.  Only full
+/// sweeps run the lane kernel; fewer states than this run one at a time.
 pub const BATCH_LANES: usize = 8;
 
 /// Reusable forward-pass buffers for [`Mlp::forward_into`] and
@@ -298,10 +299,13 @@ impl Mlp {
     /// scratch, writing one output vector per input into `out` (whose spine
     /// and element buffers are recycled across calls).
     ///
-    /// Inputs are processed [`BATCH_LANES`] at a time with each layer's
-    /// weight rows blocked across the lane (see
+    /// Inputs go through full sweeps of [`BATCH_LANES`] with each layer's
+    /// weight rows blocked across the lanes (see
     /// `DenseLayer::forward_batch`), which amortizes the weight-matrix
-    /// memory traffic that dominates large-layer scalar forwards.  Output
+    /// memory traffic that dominates large-layer scalar forwards.  The
+    /// fewer than [`BATCH_LANES`] inputs left over (a single-state batch,
+    /// or the ragged tail of any batch) run one at a time through
+    /// [`Mlp::forward_into`], so no sweep ever computes pad lanes.  Output
     /// `i` is **bit-identical** to `forward_into(&inputs[i])` — batching
     /// reorders only independent work (debug builds assert this per lane).
     ///
@@ -317,15 +321,12 @@ impl Mlp {
         let in_dim = self.input_dim();
         let out_dim = self.output_dim();
         out.resize(inputs.len(), Vec::new());
-        let mut base = 0;
-        while base < inputs.len() {
-            let lanes = (inputs.len() - base).min(BATCH_LANES);
-            let chunk = &inputs[base..base + lanes];
-            // Transpose the chunk feature-major into the current buffer,
-            // zero-padding the dead lanes of a ragged tail.
-            scratch.batch_current.clear();
+        let mut sweeps = inputs.chunks_exact(BATCH_LANES);
+        for (sweep, outs) in sweeps.by_ref().zip(out.chunks_exact_mut(BATCH_LANES)) {
+            // Transpose the sweep feature-major into the current buffer;
+            // every slot is overwritten, so no clearing is needed.
             scratch.batch_current.resize(in_dim * BATCH_LANES, 0.0);
-            for (l, input) in chunk.iter().enumerate() {
+            for (l, input) in sweep.iter().enumerate() {
                 assert_eq!(input.len(), in_dim, "input dimension mismatch");
                 for (k, &x) in input.iter().enumerate() {
                     scratch.batch_current[k * BATCH_LANES + l] = x;
@@ -338,11 +339,15 @@ impl Mlp {
                 layer.forward_batch(&scratch.batch_current, &mut scratch.batch_next);
                 std::mem::swap(&mut scratch.batch_current, &mut scratch.batch_next);
             }
-            for (l, slot) in out[base..base + lanes].iter_mut().enumerate() {
+            for (l, slot) in outs.iter_mut().enumerate() {
                 slot.clear();
                 slot.extend((0..out_dim).map(|j| scratch.batch_current[j * BATCH_LANES + l]));
             }
-            base += lanes;
+        }
+        let tail = inputs.len() - sweeps.remainder().len();
+        for (input, slot) in sweeps.remainder().iter().zip(&mut out[tail..]) {
+            slot.clear();
+            slot.extend_from_slice(self.forward_into(input, scratch));
         }
         #[cfg(debug_assertions)]
         for (input, output) in inputs.iter().zip(out.iter()) {
@@ -641,6 +646,95 @@ mod tests {
         // Empty batches are fine and clear the output spine.
         net.forward_batch_into(&[], &mut scratch, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn lane_kernel_keeps_the_sign_of_an_all_negative_zero_sum() {
+        // Every product is `+0.0 * negative = -0.0` and every bias is
+        // `-0.0`, so a dot product that starts from `-0.0` (std's `sum`)
+        // stays `-0.0`; a lane kernel starting from `+0.0` would return
+        // `+0.0` and disagree with the scalar path.
+        let mut net = Mlp::new(
+            &[2, 3, 1],
+            Activation::Tanh,
+            Activation::Identity,
+            &mut SmallRng::seed_from_u64(0),
+        );
+        let params: Vec<f64> = net
+            .layers()
+            .iter()
+            .flat_map(|layer| {
+                let weights = layer.input_dim() * layer.output_dim();
+                std::iter::repeat_n(0.0, weights)
+                    .chain(std::iter::repeat_n(-0.0, layer.output_dim()))
+            })
+            .collect();
+        net.set_parameters(&params);
+        let input = vec![-1.0, -2.0];
+        let mut scratch = MlpScratch::new();
+        assert_eq!(
+            net.forward_into(&input, &mut scratch)[0].to_bits(),
+            0x8000_0000_0000_0000
+        );
+        // A full sweep plus a tail, so both dispatch paths are pinned.
+        let inputs = vec![input; BATCH_LANES + 1];
+        let mut out = Vec::new();
+        net.forward_batch_into(&inputs, &mut scratch, &mut out);
+        for output in &out {
+            assert_eq!(output[0].to_bits(), 0x8000_0000_0000_0000);
+        }
+    }
+
+    /// A parameter or input drawn so that `+0.0`, `-0.0` and negative
+    /// values all occur often.
+    fn signed_value(rng: &mut SmallRng) -> f64 {
+        match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen::<f64>() * 4.0 - 2.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn prop_every_forward_path_agrees_bitwise(seed in 0u64..1_000_000, hidden in 0u32..3, output in 0u32..3) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let hidden = Activation::from_tag(hidden as u8).expect("valid tag");
+            let output = Activation::from_tag(output as u8).expect("valid tag");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut scratch = MlpScratch::new();
+            let mut reference_scratch = MlpScratch::new();
+            let mut out = Vec::new();
+            // The first layer has every row count from below one 8-row
+            // block to two blocks plus a tail; the second has up to 9 rows.
+            for cols in 1..=9 {
+                for rows in 1..=17 {
+                    let mut net = Mlp::new(&[cols, rows, cols], hidden, output, &mut rng);
+                    let params: Vec<f64> =
+                        (0..net.num_parameters()).map(|_| signed_value(&mut rng)).collect();
+                    net.set_parameters(&params);
+                    let inputs: Vec<Vec<f64>> = (0..2 * BATCH_LANES + 1)
+                        .map(|_| (0..cols).map(|_| signed_value(&mut rng)).collect())
+                        .collect();
+                    let expected: Vec<Vec<u64>> = inputs
+                        .iter()
+                        .map(|input| bits(net.forward_into(input, &mut reference_scratch)))
+                        .collect();
+                    for (input, want) in inputs.iter().zip(&expected) {
+                        prop_assert_eq!(&bits(net.forward_cached(input).output()), want);
+                    }
+                    // Every batch length from empty to two full sweeps plus one.
+                    for len in 0..=inputs.len() {
+                        net.forward_batch_into(&inputs[..len], &mut scratch, &mut out);
+                        prop_assert_eq!(out.len(), len);
+                        for (got, want) in out.iter().zip(&expected) {
+                            prop_assert_eq!(&bits(got), want);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //!
 //! **Telemetry** sums each replica's live snapshot or, when it does not
 //! answer, the last snapshot fetched from it (the ledger), so counters
-//! survive a member's death; one part is returned as is.  A moved
+//! survive a member's death; latency percentiles come from the first
+//! replica that answered, and one part is returned as is.  A moved
 //! deployment starts fresh counters on its new member.
 
 use crate::artifact::ShieldArtifact;
@@ -541,7 +542,10 @@ impl ShardRouter {
     /// [`ServeError::Unavailable`] when no replica answers or is cached.
     pub fn telemetry(&self, name: &str) -> Result<DeploymentTelemetry, ServeError> {
         self.resolved(name, |replicas| {
+            // Live snapshots first, so the percentiles `sum_telemetry`
+            // takes from the first part come from a replica that answered.
             let mut parts = Vec::with_capacity(replicas.len());
+            let mut cached = Vec::new();
             for (index, member) in replicas {
                 let live = member.up.load(Ordering::SeqCst);
                 let live = live.then(|| member.backend.backend_telemetry(name).ok());
@@ -552,9 +556,10 @@ impl ShardRouter {
                         ledger.insert(key, snapshot.clone());
                         parts.push(snapshot);
                     }
-                    None => parts.extend(ledger.get(&key).cloned()),
+                    None => cached.extend(ledger.get(&key).cloned()),
                 }
             }
+            parts.append(&mut cached);
             if parts.is_empty() {
                 return Err(unavailable(name, "no replica reachable or cached".into()));
             }
@@ -681,7 +686,9 @@ impl ShieldBackend for ShardRouter {
 /// Sums replica telemetry into one snapshot: counters add, generation is
 /// the max, the intervention rate is recomputed from the summed counters,
 /// and latency percentiles come from the first part (they are not
-/// summable; every replica meters the same decide path).  One part is
+/// summable; every replica meters the same decide path).  Callers put the
+/// parts fetched live first, so a dead replica's ledger snapshot never
+/// freezes the percentiles while another replica serves.  One part is
 /// returned as is.
 fn sum_telemetry(name: &str, parts: &[DeploymentTelemetry]) -> DeploymentTelemetry {
     if let [only] = parts {

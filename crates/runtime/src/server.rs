@@ -22,8 +22,14 @@
 //!   nanoseconds nobody can observe.
 //! * [`ShieldServer::decide_batch`] fans large batches out over a shared
 //!   [`WorkerPool`], one contiguous chunk per worker, and reassembles the
-//!   results in order.  Within each chunk (and on the small-batch path)
-//!   decisions run through the shield's lane-batched kernels
+//!   results in order.  A batch of fewer than 128 states (every
+//!   single-state wire request among them), or any batch on a one-worker
+//!   pool, runs on the calling thread as one chunk.  Within each chunk
+//!   the oracle proposes through `Mlp::forward_batch_into`: full 8-state
+//!   sweeps run the lane kernel, and the fewer than 8 states left over
+//!   (all of a single-state request) run one at a time through the
+//!   row-blocked scalar forward, so no sweep computes padding.  The
+//!   shield then decides the chunk through its lane-batched kernels
 //!   (`Shield::decide_batch`): successor prediction steps the whole chunk
 //!   through one sweep of the compiled dynamics family
 //!   (`EnvironmentContext::step_deterministic_batch`) and certificate

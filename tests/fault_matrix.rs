@@ -317,6 +317,14 @@ fn kill_primary_telemetry_survives_and_breaker_shows_on_metrics() {
         "2 primary requests from the ledger + 3 live backup requests"
     );
     assert_eq!(after.decisions, 50);
+    // Percentiles are not summable, so they come from the replica that
+    // answered: the backup's own snapshot, not the dead primary's ledger.
+    let backup_own = RemoteShard::with_config(backup_shard.local_addr(), fast_shard_config())
+        .backend_telemetry(DEPLOYMENT)
+        .expect("backup answers");
+    assert_eq!(backup_own.requests, 3);
+    assert_eq!(after.p50_latency, backup_own.p50_latency);
+    assert_eq!(after.p99_latency, backup_own.p99_latency);
 
     // The kill left the primary marked down (live traffic skips it), so
     // its breaker sits at one failure.  Probe cycles keep knocking on the
